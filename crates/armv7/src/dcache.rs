@@ -181,7 +181,9 @@ pub(crate) enum ExitKind {
 /// which is never admitted). `LDM`/`STM`, `BX`, `SVC` and every
 /// privileged/undefined instruction terminate the trace *before*
 /// themselves; a direct `B`/`BL` terminates it *inclusively* (its target
-/// is static). ALU-class body instructions can neither fault nor write
+/// is static). A trace holds at least two instructions, or is a lone
+/// direct branch with an empty body (which promoted traces chain
+/// through). ALU-class body instructions can neither fault nor write
 /// memory; loads/stores *can*, so the runner executes them only through
 /// the data-TLB hit path and otherwise stops the block at the retired
 /// prefix, falling back to exact per-instruction stepping (see
@@ -208,8 +210,9 @@ pub(crate) struct Block {
     pub(crate) max_charge: u64,
     /// Chained successors, indexed by [`ExitKind`]: the block id the
     /// corresponding exit last dispatched to. Purely a probe shortcut —
-    /// the successor is re-validated like any dispatch, so a stale link
-    /// costs a hash probe, never correctness.
+    /// the successor is re-validated like any dispatch (by the
+    /// dispatcher, or by the micro-op runner before it hops), so a stale
+    /// link costs a hash probe, never correctness.
     pub(crate) succ: [Option<u32>; 2],
     /// Dispatch hits since the block was built; crossing the promotion
     /// threshold triggers one-time micro-op specialisation.
@@ -257,9 +260,16 @@ pub struct SbStats {
     pub dtlb_invalidations: u64,
     /// Hot superblocks promoted to specialised micro-op traces.
     pub uop_promoted: u64,
-    /// Dispatches executed through a specialised micro-op trace (counted
-    /// when at least one instruction retired from it).
+    /// Dispatches executed through a specialised micro-op trace: one per
+    /// runner call that retired at least one instruction, plus one per
+    /// hop that call made (see `uop_linked`).
     pub uop_hits: u64,
+    /// Successor links the micro-op runner followed straight into the
+    /// next promoted trace without returning to the dispatcher (linked
+    /// chaining; a self-loop is a link back to the same trace). Each hop
+    /// also counts as a chained dispatch hit in `hits`, `chained` and
+    /// `uop_hits`, exactly as the dispatch it replaces would have.
+    pub uop_linked: u64,
     /// Whole-cache invalidations that dropped at least one specialised
     /// trace (micro-op traces die with their superblocks).
     pub uop_invalidations: u64,
@@ -468,13 +478,17 @@ impl FetchAccel {
         self.sb.stats.uop_promoted += 1;
     }
 
-    /// Counts trace executions through the specialised micro-op tier.
-    /// One dispatch can carry several: a self-looping trace chains
-    /// iterations without returning to the dispatcher, and each chained
-    /// pass counts as a hit (the per-dispatch equivalent would have
-    /// re-dispatched once per iteration).
-    pub(crate) fn sb_note_uop_hits(&mut self, n: u64) {
-        self.sb.stats.uop_hits += n;
+    /// Counts one micro-op runner call that retired instructions: the
+    /// dispatched trace plus the `hops` successor links the runner then
+    /// followed itself. Each hop is a chained dispatch hit the dispatcher
+    /// did not have to serve, so it counts as one in `hits`, `chained`
+    /// and `uop_hits`, and in `uop_linked`.
+    pub(crate) fn sb_note_uop_run(&mut self, hops: u64) {
+        let s = &mut self.sb.stats;
+        s.hits += hops;
+        s.chained += hops;
+        s.uop_hits += 1 + hops;
+        s.uop_linked += hops;
     }
 
     /// Looks up (or builds) the superblock entered at `pc` under
@@ -621,8 +635,10 @@ impl FetchAccel {
             }
         }
         let with_branch = matches!(end, BlockEnd::Branch { .. });
-        if body.len() + (with_branch as usize) < 2 {
-            // Too short to beat per-insn dispatch; remember that.
+        if !with_branch && body.len() < 2 {
+            // Too short to beat per-insn dispatch; remember that. A lone
+            // direct branch is admitted: once promoted, linked chains run
+            // through it instead of returning to the dispatcher.
             self.sb.index.insert(pc, NO_BLOCK);
             return None;
         }
@@ -650,12 +666,13 @@ impl FetchAccel {
         Some(id)
     }
 
-    /// The block behind an id [`FetchAccel::sb_dispatch`] returned.
+    /// Every cached block, indexed by the ids [`FetchAccel::sb_dispatch`]
+    /// returns and [`Block::succ`] links hold.
     ///
-    /// Takes `&self` so the caller can hold the block while mutating the
+    /// Takes `&self` so the caller can hold the blocks while mutating the
     /// machine's other fields through split borrows.
-    pub(crate) fn sb_block(&self, id: u32) -> &Block {
-        &self.sb.blocks[id as usize]
+    pub(crate) fn sb_blocks(&self) -> &[Block] {
+        &self.sb.blocks
     }
 
     /// Records how the dispatched block `id` exited after retiring

@@ -8,7 +8,7 @@
 
 use crate::alu::{alu, alu_value, eval_op2, eval_op2_value, shift_value};
 use crate::cp15::FaultStatus;
-use crate::dcache::{BlockEnd, ExitKind};
+use crate::dcache::{Block, BlockEnd, ExitKind};
 use crate::decode::decode;
 use crate::dtlb::DataTlb;
 use crate::error::{MemFault, MemFaultKind};
@@ -212,8 +212,13 @@ impl Machine {
     ///   state. A store that bumps the code generation (self-modifying
     ///   code through the data path) retires, then stops the block the
     ///   same way so no possibly-stale trace entry after it executes.
-    ///   A block stopping before retiring anything returns `None` so the
-    ///   per-insn step guarantees progress (and refills the data-TLB).
+    ///   A block stopping at a hazard before retiring anything returns
+    ///   `None` so the per-insn step guarantees progress (and refills the
+    ///   data-TLB); a lone-branch block's empty body is no such stop.
+    /// - **Micro-op traces**: a promoted block running whole-trace goes
+    ///   through `run_uop_trace`, which may hop into further promoted
+    ///   traces; each hop re-checks the first two points for its trace,
+    ///   so the retired count is what repeated dispatches would return.
     fn step_superblock(
         &mut self,
         world: World,
@@ -239,7 +244,7 @@ impl Machine {
             cycles,
             ..
         } = self;
-        let b = accel.sb_block(id);
+        let b = &accel.sb_blocks()[id as usize];
         if *cycles + b.max_charge >= wake {
             accel.sb_note_exit(id, None, 0);
             return None;
@@ -255,14 +260,16 @@ impl Machine {
         // an instruction into the uop exit without changing how many
         // steps the trace consumes). Hazard behaviour is identical: the
         // runner stops at the exactly-retired prefix, and a first-op
-        // hazard returns `None` so the per-insn step makes progress.
+        // hazard returns `None` so the per-insn step makes progress. The
+        // runner may hop through successor links into further promoted
+        // traces; it reports the block it ended in as the chain source.
         if full {
             if let Some(u) = &b.uop {
-                let (retired, data_hits, extra, iters, exit) = run_uop_trace(
+                let run = run_uop_trace(
+                    accel.sb_blocks(),
+                    id,
                     u,
                     gen_entry,
-                    b.entry_va,
-                    b.max_charge,
                     wake - *cycles,
                     steps_left,
                     world,
@@ -273,16 +280,16 @@ impl Machine {
                     mem,
                     dtlb,
                 );
-                if retired == 0 {
+                if run.retired == 0 {
                     accel.sb_note_exit(id, None, 0);
                     return None;
                 }
-                tlb.note_hits(retired + data_hits);
-                mem.note_reads(retired);
-                *cycles += retired * cost::INSN + extra;
-                accel.sb_note_uop_hits(iters);
-                accel.sb_note_exit(id, exit, retired);
-                return Some(retired);
+                tlb.note_hits(run.retired + run.data_hits);
+                mem.note_reads(run.retired);
+                *cycles += run.retired * cost::INSN + run.extra;
+                accel.sb_note_uop_run(run.hops);
+                accel.sb_note_exit(run.last, run.exit, run.retired);
+                return Some(run.retired);
             }
         }
         let n_exec = if full { n_body } else { steps_left.min(n_body) };
@@ -350,10 +357,11 @@ impl Machine {
             }
             n_ret += 1;
         }
-        if n_ret == 0 {
+        if stopped && n_ret == 0 {
             // First instruction hit a data hazard: no progress was made.
             // Fall back so the per-insn step performs the access — or
-            // raises its fault — with exact accounting.
+            // raises its fault — with exact accounting. (A lone-branch
+            // block has an empty body: it retires its branch below.)
             accel.sb_note_exit(id, None, 0);
             return None;
         }
@@ -821,36 +829,64 @@ fn site_lookup(
     Some((pa, attrs))
 }
 
-/// Executes a specialised micro-op trace over a flat copy of the
-/// user-visible registers and a local PSR, committing the exactly
-/// retired prefix. Returns `(retired, data_hits, extra_cycles, iters,
-/// exit)` for the caller to batch-account precisely like the superblock
-/// body loop; `retired == 0` means a first-op hazard left the machine
-/// untouched (the caller falls back to per-instruction stepping).
+/// What one `run_uop_trace` call retired, for the caller to
+/// batch-account precisely like the superblock body loop.
+struct UopRun {
+    /// Instructions retired across every pass; 0 means a first-op hazard
+    /// left the machine untouched (the caller falls back to
+    /// per-instruction stepping).
+    retired: u64,
+    /// Data accesses served (one extra TLB hit each).
+    data_hits: u64,
+    /// Cycles charged beyond `cost::INSN` per retired instruction.
+    extra: u64,
+    /// Successor links the runner followed into further traces.
+    hops: u64,
+    /// The block whose trace ran last: the next dispatch's chain source.
+    last: u32,
+    /// How that trace exited (`None` after a mid-trace stop).
+    exit: Option<ExitKind>,
+}
+
+/// Executes the specialised micro-op trace `t` of block `id` over a flat
+/// copy of the user-visible registers and a local PSR, committing the
+/// exactly retired prefix.
 ///
-/// **Self-loop chaining.** When the trace's exit branch is taken back to
-/// its own entry (`target == entry_va`), the runner re-enters the body
-/// in place — no commit, no re-dispatch, no regfile round-trip — as long
-/// as the caller's two dispatch guards still hold for a whole further
-/// pass: the remaining step budget covers one more full iteration
-/// (`iter_steps`, counted on the *block's* instructions, exactly what
-/// the dispatcher's `full` check requires), and the accumulated cycle
-/// charge plus a worst-case pass still ends before the wake deadline
-/// (`cost + max_charge < cycle_budget`, the wake-hoisting guard with the
-/// dispatch-time cycle count folded into `cycle_budget`). Stopping short
-/// on either guard just bounces back to the dispatcher, which re-checks
-/// the same conditions — so chaining is invisible to the cycle model.
+/// **Linked chaining.** When a pass exits, the runner follows the exiting
+/// block's successor link (`Block::succ[exit]`, recorded by the
+/// dispatcher) straight into the next promoted trace — no commit, no
+/// re-dispatch, no regfile round-trip — but only while every check the
+/// dispatcher would make for that trace still holds: its entry VA, world
+/// and `TTBR0` match the new PC and the run's context; the remaining step
+/// budget covers a whole pass (`UopTrace::steps`, the dispatcher's `full`
+/// check); and the accumulated cycle charge plus the target's worst-case
+/// pass still ends before the wake deadline (`cost + max_charge <
+/// cycle_budget`, the wake-hoisting guard with the dispatch-time cycle
+/// count folded into `cycle_budget`). The code generation cannot have
+/// moved: a store that bumps it stops the chain first. Anything else
+/// commits and returns to the dispatcher, which re-checks the same
+/// conditions — so a hop is exactly the dispatch it replaces, and
+/// chaining is invisible to the cycle model. A link is only a probe
+/// shortcut, re-validated on every hop; it can even lead elsewhere than
+/// the exit's PC, when the dispatcher recorded it across a run boundary
+/// where the PC changed. A self-loop is the link back to the same trace;
+/// once it has passed these checks, later passes through the same exit
+/// re-check only the two budget guards, because nothing else the checks
+/// read can change inside one call (only the dispatcher writes blocks
+/// and links, and an exit's PC is static per trace).
 ///
 /// Mid-trace stops happen only at memory micro-ops (hazard) or right
 /// after a code-generation bump — points where the specialiser's flag
 /// liveness forced every earlier flag write to materialise — so the
-/// committed PSR at any stop is bit-for-bit the per-instruction one.
+/// committed PSR at any stop is bit-for-bit the per-instruction one. A
+/// stop ends the chain at the exactly-retired prefix of the trace it
+/// happened in.
 #[allow(clippy::too_many_arguments)]
-fn run_uop_trace(
-    t: &UopTrace,
+fn run_uop_trace<'a>(
+    blocks: &'a [Block],
+    mut id: u32,
+    mut t: &'a UopTrace,
     gen_entry: u64,
-    entry_va: Addr,
-    max_charge: u64,
     cycle_budget: u64,
     steps_left: u64,
     world: World,
@@ -860,32 +896,19 @@ fn run_uop_trace(
     pc: &mut Addr,
     mem: &mut PhysMem,
     dtlb: &mut DataTlb,
-) -> (u64, u64, u64, u64, Option<ExitKind>) {
-    // Architectural steps one full pass consumes: one per body micro-op
-    // plus the exit's share (a fused exit retires the folded ALU and the
-    // branch). This always equals the block's `n_body + has_branch`, so
-    // the chaining budget check below is the dispatcher's `full` check.
-    let iter_steps = t.body.len() as u64
-        + match t.end {
-            UopEnd::Fall => 0,
-            UopEnd::Branch { .. } => 1,
-            UopEnd::FusedBranch { .. } => 2,
-        };
-    let self_loop = match t.end {
-        UopEnd::Fall => false,
-        UopEnd::Branch { target, link, .. } | UopEnd::FusedBranch { target, link, .. } => {
-            !link && target == entry_va
-        }
-    };
+) -> UopRun {
     let mut r = regs.user_visible();
     let mut psr = *cpsr;
     let mut total = 0u64;
     let mut data_hits = 0u64;
     let mut extra = 0u64;
-    let mut iters = 0u64;
+    let mut hops = 0u64;
     let mut pc_cur = *pc;
+    // The current trace's worst-case pass, and the exit (if any) whose
+    // link back to this trace has already passed the hop checks.
+    let mut max_charge = blocks[id as usize].max_charge;
+    let mut self_exit = None;
     let final_exit = 'chain: loop {
-        iters += 1;
         let mut n_ret = 0u64;
         let mut stopped = false;
         for e in t.body.iter() {
@@ -1012,9 +1035,16 @@ fn run_uop_trace(
             if total == 0 && n_ret == 0 {
                 // First micro-op hit a hazard: the locals were never
                 // written, so there is nothing to commit and the caller
-                // falls back. (A first-op hazard on a *chained* pass
-                // commits the completed iterations below instead.)
-                return (0, 0, 0, 0, None);
+                // falls back. (A first-op hazard after a hop commits the
+                // completed passes below instead.)
+                return UopRun {
+                    retired: 0,
+                    data_hits: 0,
+                    extra: 0,
+                    hops: 0,
+                    last: id,
+                    exit: None,
+                };
             }
             total += n_ret;
             pc_cur = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
@@ -1079,22 +1109,54 @@ fn run_uop_trace(
             }
         }
         pc_cur = pc_new;
-        // Chain straight back into the body when the taken exit re-enters
-        // this trace and both dispatch guards still hold for a whole
-        // further pass; otherwise commit and return to the dispatcher.
-        if self_loop
-            && exit == ExitKind::Taken
-            && steps_left - total >= iter_steps
-            && total * cost::INSN + extra + max_charge < cycle_budget
-        {
-            continue 'chain;
+        // Hop along this exit's link while the dispatcher would run the
+        // target's trace whole; otherwise commit and return to it. The
+        // dispatcher's two guards for a trace of `steps` steps and
+        // worst-case charge `charge`:
+        let whole_pass_fits = |steps: u64, charge: u64| {
+            steps_left - total >= steps && total * cost::INSN + extra + charge < cycle_budget
+        };
+        if self_exit == Some(exit) {
+            if whole_pass_fits(t.steps, max_charge) {
+                hops += 1;
+                continue 'chain;
+            }
+            break 'chain Some(exit);
+        }
+        if let Some(next) = blocks[id as usize].succ[exit as usize] {
+            let nb = &blocks[next as usize];
+            if let Some(nt) = &nb.uop {
+                if nb.entry_va == pc_cur
+                    && nb.world == world
+                    && nb.ttbr0 == ttbr0
+                    && whole_pass_fits(nt.steps, nb.max_charge)
+                {
+                    hops += 1;
+                    if next == id {
+                        self_exit = Some(exit);
+                    } else {
+                        id = next;
+                        t = nt;
+                        max_charge = nb.max_charge;
+                        self_exit = None;
+                    }
+                    continue 'chain;
+                }
+            }
         }
         break 'chain Some(exit);
     };
     regs.set_user_visible(&r);
     *cpsr = psr;
     *pc = pc_cur;
-    (total, data_hits, extra, iters, final_exit)
+    UopRun {
+        retired: total,
+        data_hits,
+        extra,
+        hops,
+        last: id,
+        exit: final_exit,
+    }
 }
 
 #[cfg(test)]
@@ -2176,6 +2238,216 @@ mod tests {
              trace (stats: {s:?})"
         );
         assert!(s.inval_code_gen >= 1, "stats: {s:?}");
+    }
+
+    /// A store in one promoted trace patches the code of its linked
+    /// successor mid-chain. The code-generation bump must end the chain
+    /// right after the store: the runner commits the retired prefix and
+    /// never hops into the successor's stale trace, so the patched
+    /// instruction executes in that same iteration — exactly as
+    /// per-instruction stepping.
+    #[test]
+    fn uop_store_patching_linked_successor_stops_the_chain() {
+        use crate::encode::encode;
+        let patch = encode(Insn::Dp {
+            cond: Cond::Al,
+            op: crate::insn::DpOp::Add,
+            s: false,
+            rd: Reg::R(2),
+            rn: Reg::R(2),
+            op2: crate::insn::Op2::imm(5),
+        });
+        let mut a = Assembler::new(0x8000);
+        a.mov_imm32(Reg::R(1), 0x8000); // Code page VA.
+        a.mov_imm32(Reg::R(0), patch);
+        a.mov_imm(Reg::R(6), 10); // Loop counter: 10, 9, ..., 1.
+        let top = a.label();
+        // Trace A: its taken exit links to trace B.
+        a.add_imm(Reg::R(3), Reg::R(3), 1);
+        a.cmp_imm(Reg::R(6), 5);
+        // Fires only on the 6th iteration (r6 == 5), by when A and B are
+        // both promoted (threshold 2) and linked.
+        let slot = (a.len() + 3) as u16;
+        a.emit(Insn::Str {
+            cond: Cond::Eq,
+            rd: Reg::R(0),
+            rn: Reg::R(1),
+            off: MemOffset::Imm {
+                imm12: slot * 4,
+                add: true,
+            },
+            byte: false,
+        });
+        a.add_imm(Reg::R(4), Reg::R(4), 1);
+        let b_entry = a.b_fixup(Cond::Al);
+        let here = a.here();
+        a.fix_branch(b_entry, here);
+        // Trace B: its taken exit links back to A.
+        a.add_imm(Reg::R(2), Reg::R(2), 1); // Overwritten to `add r2, #5`.
+        a.add_imm(Reg::R(5), Reg::R(5), 1);
+        a.subs_imm(Reg::R(6), Reg::R(6), 1);
+        a.b_to(Cond::Ne, top);
+        a.svc(0);
+        let (m_uop, _m_sb, exit) = four_way_machines(&a.words(), PagePerms::RWX, 10_000, |_| {});
+        assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+        // r6 = 10..=6 run the original `add r2, #1`; the patch lands in
+        // A on r6 = 5, before B runs, so B runs `add r2, #5` from then on.
+        assert_eq!(m_uop.regs.get(Mode::User, Reg::R(2)), 5 + 5 * 5);
+        assert_eq!(m_uop.regs.get(Mode::User, Reg::R(4)), 10);
+        let s = m_uop.superblock_stats();
+        assert!(s.uop_linked >= 2, "A and B never chained: {s:?}");
+        assert!(s.uop_invalidations >= 1, "stats: {s:?}");
+        assert!(s.inval_code_gen >= 1, "stats: {s:?}");
+    }
+
+    /// Runs `drive` on `code` under the four stepping configurations
+    /// (promotion forced at two dispatches) and asserts every machine
+    /// equals the baseline one; returns the micro-op machine.
+    fn four_way_driven(code: &[Word], drive: impl Fn(&mut Machine)) -> Machine {
+        let run = |accel: bool, superblocks: bool, uops: bool| {
+            let mut m = guest_machine(code);
+            m.set_fetch_accel(accel);
+            m.set_superblocks(superblocks);
+            m.set_uop_traces(uops);
+            m.set_uop_threshold(2);
+            drive(&mut m);
+            m
+        };
+        let m_uop = run(true, true, true);
+        let m_off = run(false, false, false);
+        for (name, m) in [
+            ("uop", &m_uop),
+            ("superblock", &run(true, true, false)),
+            ("accel-only", &run(true, false, false)),
+        ] {
+            assert_eq!(m.cycles, m_off.cycles, "{name}: cycles diverged");
+            assert_eq!(m.tlb.hits, m_off.tlb.hits, "{name}: TLB hits diverged");
+            assert_eq!(m.mem.reads, m_off.mem.reads, "{name}: reads diverged");
+            assert!(*m == m_off, "{name}: architectural state diverged");
+        }
+        m_uop
+    }
+
+    /// A one-block self-loop under step budgets that expire mid-chain:
+    /// every budget from 1 to 40, each run resumed until the `SVC`. The
+    /// runner's self-link may only re-enter while a whole pass fits.
+    #[test]
+    fn uop_self_loop_under_step_budgets_is_exact() {
+        let mut a = Assembler::new(0x8000);
+        a.mov_imm(Reg::R(7), 120); // Loop counter.
+        let top = a.label();
+        a.add_imm(Reg::R(0), Reg::R(0), 1);
+        a.eor_reg(Reg::R(1), Reg::R(1), Reg::R(0));
+        a.subs_imm(Reg::R(7), Reg::R(7), 1);
+        a.b_to(Cond::Ne, top);
+        a.svc(0);
+        let code = a.words();
+        for budget in 1..=40u64 {
+            let m = four_way_driven(&code, |m| {
+                while m.run_user(budget).unwrap() == ExitReason::StepLimit {}
+                assert_eq!(m.cpsr.mode, Mode::Supervisor, "budget {budget}");
+            });
+            assert_eq!(m.regs.get(Mode::User, Reg::R(0)), 120, "budget {budget}");
+            if budget >= 8 {
+                let s = m.superblock_stats();
+                assert!(s.uop_linked > 0, "budget {budget}: never chained ({s:?})");
+            }
+        }
+    }
+
+    /// A successor link can be recorded across a PC change: a run stops
+    /// right after trace P's exit, another thread of the same address
+    /// space runs elsewhere, and the dispatcher links P's exit to the
+    /// block it found there. When P later exits the same way, that link's
+    /// entry VA no longer matches the new PC, so the runner must not hop.
+    #[test]
+    fn uop_link_recorded_across_a_pc_change_is_not_followed() {
+        let mut a = Assembler::new(0x8000);
+        a.mov_imm(Reg::R(7), 20); // Loop counter.
+        let p_entry = a.label();
+        a.add_imm(Reg::R(0), Reg::R(0), 1); // Trace P ...
+        a.add_imm(Reg::R(1), Reg::R(1), 1);
+        let to_q = a.b_fixup(Cond::Al); // ... whose taken exit leads to Q.
+        let q_entry = a.here();
+        a.fix_branch(to_q, q_entry);
+        a.add_imm(Reg::R(2), Reg::R(2), 1); // Trace Q.
+        a.subs_imm(Reg::R(7), Reg::R(7), 1);
+        a.b_to(Cond::Ne, p_entry);
+        a.svc(0);
+        while a.len() < 16 {
+            a.udf(0);
+        }
+        let x_entry = a.label(); // Trace X, another thread's self-loop.
+        a.add_imm(Reg::R(3), Reg::R(3), 1);
+        a.add_imm(Reg::R(4), Reg::R(4), 1);
+        a.b_to(Cond::Al, x_entry);
+        let code = a.words();
+        let m = four_way_driven(&code, |m| {
+            // X runs hot first: ten whole passes.
+            m.pc = x_entry.addr();
+            assert_eq!(m.run_user(30).unwrap(), ExitReason::StepLimit);
+            // Five loop iterations, stopping right after P's taken exit:
+            // 4 + 3 steps for the first (the setup `mov` joins P's first
+            // block), 6 for each later one, then P's 3 again.
+            m.pc = 0x8000;
+            assert_eq!(
+                m.run_user(4 + 3 + 4 * 6 + 3).unwrap(),
+                ExitReason::StepLimit
+            );
+            assert_eq!(m.pc, q_entry.addr());
+            // Another thread runs one pass of X: P's taken link now
+            // records X.
+            let resume = m.pc;
+            m.pc = x_entry.addr();
+            assert_eq!(m.run_user(3).unwrap(), ExitReason::StepLimit);
+            // The first thread resumes at Q and runs to its SVC.
+            m.pc = resume;
+            assert_eq!(m.run_user(10_000).unwrap(), ExitReason::Svc { imm24: 0 });
+        });
+        for (r, want) in [(0, 20), (1, 20), (2, 20), (3, 11), (4, 11)] {
+            assert_eq!(m.regs.get(Mode::User, Reg::R(r)), want, "r{r}");
+        }
+        let s = m.superblock_stats();
+        assert!(s.uop_linked > 0, "P and Q never chained: {s:?}");
+    }
+
+    /// Lone conditional branches (the `B<c>` pair of a compare diamond)
+    /// become one-instruction superblocks, and once promoted the runner
+    /// chains through them: the loop's hops outnumber its iterations,
+    /// and every tier still agrees bit-for-bit.
+    #[test]
+    fn lone_branches_are_admitted_and_chained() {
+        let mut a = Assembler::new(0x8000);
+        a.mov_imm(Reg::R(0), 0);
+        a.mov_imm(Reg::R(1), 40); // Loop counter.
+        let top = a.label();
+        a.add_imm(Reg::R(0), Reg::R(0), 3);
+        a.and_imm(Reg::R(2), Reg::R(0), 7);
+        a.cmp_imm(Reg::R(2), 4);
+        let out = a.b_fixup(Cond::Cc); // Ends trace 1.
+        let mid = a.b_fixup(Cond::Hi); // A lone branch: trace 2.
+        a.add_imm(Reg::R(3), Reg::R(3), 1);
+        let here = a.here();
+        a.fix_branch(mid, here);
+        a.add_imm(Reg::R(4), Reg::R(4), 1);
+        let here = a.here();
+        a.fix_branch(out, here);
+        a.subs_imm(Reg::R(1), Reg::R(1), 1);
+        a.b_to(Cond::Ne, top);
+        a.svc(0);
+        let (m_uop, m_sb, exit) = four_way_machines(&a.words(), PagePerms::RX, 10_000, |_| {});
+        assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+        let s = m_uop.superblock_stats();
+        assert!(s.uop_linked > 40, "the runner must chain the loop: {s:?}");
+        // Superblocks alone dispatch the lone branch as a block too.
+        let lone = 0x8000 + 6 * WORD_BYTES;
+        assert!(
+            m_sb.accel
+                .sb_blocks()
+                .iter()
+                .any(|b| b.entry_va == lone && b.body.is_empty()),
+            "the lone BHI was not admitted as a superblock"
+        );
     }
 
     /// An interrupt deadline landing mid-trace after promotion: the

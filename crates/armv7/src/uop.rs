@@ -42,13 +42,25 @@
 //!   the exact path would compute, and accounting one TLB hit per
 //!   access remains exact.
 //!
-//! The runner (`Machine::step_superblock` in [`crate::exec`]) executes
-//! specialised traces over a flat copy of the fifteen user-visible
-//! registers and a local `CPSR`, committing at the end or at the exact
-//! retired prefix on any hazard — the same stop discipline, cycle
-//! accounting and fallback ladder (uop → superblock → accelerator →
-//! baseline) as the superblock path, which the four-way differential
-//! suite pins bit-for-bit.
+//! The runner (`run_uop_trace`, called from `Machine::step_superblock`
+//! in [`crate::exec`]) executes specialised traces over a flat copy of
+//! the fifteen user-visible registers and a local `CPSR`, committing at
+//! the end or at the exact retired prefix on any hazard — the same stop
+//! discipline, cycle accounting and fallback ladder (uop → superblock →
+//! accelerator → baseline) as the superblock path, which the four-way
+//! differential suite pins bit-for-bit.
+//!
+//! **Linked chaining.** When a trace exits, the runner follows the
+//! exiting block's successor link (`Block::succ`, recorded by the
+//! dispatcher) straight into the next promoted trace, keeping the flat
+//! registers and local `CPSR` — but only while every check the
+//! dispatcher would make for that trace holds: same entry VA, world and
+//! `TTBR0`, a whole pass within the step budget (`UopTrace::steps`),
+//! and the accumulated charge plus the target's `max_charge` below the
+//! wake deadline. Otherwise it commits and returns, and the dispatcher
+//! re-checks the same conditions. A self-loop is the link back to the
+//! same trace; a lone direct branch is a trace with an empty body, so
+//! branchy loops stay inside the runner.
 
 use core::cell::Cell;
 
@@ -95,15 +107,34 @@ fn dp_is_arith(op: DpOp) -> bool {
     )
 }
 
+/// Whether the shifter computes a fresh carry-out for `op2`. An
+/// unrotated immediate, `LSL #0` and `ROR #0` pass the carry-in through
+/// unchanged (see [`crate::alu::shift_value`]).
+fn shifter_sets_carry(op2: Op2) -> bool {
+    match op2 {
+        Op2::Imm { rot, .. } => rot != 0,
+        Op2::Reg {
+            shift: Shift::Lsl | Shift::Ror,
+            amount: 0,
+            ..
+        } => false,
+        Op2::Reg { .. } => true,
+    }
+}
+
 /// Flags an instruction overwrites with fresh values (the kill set when
-/// it executes unconditionally).
+/// it executes unconditionally). A logical opcode writes `C` only when
+/// its shifter produces a carry-out; otherwise the earlier `C` flows
+/// through it and stays live.
 fn flag_writes(insn: &Insn) -> u8 {
     match *insn {
-        Insn::Dp { op, s, .. } if s || op.is_compare() => {
+        Insn::Dp { op, s, op2, .. } if s || op.is_compare() => {
             if dp_is_arith(op) {
                 FLAG_ALL
-            } else {
+            } else if shifter_sets_carry(op2) {
                 FLAG_N | FLAG_Z | FLAG_C
+            } else {
+                FLAG_N | FLAG_Z
             }
         }
         Insn::Mul { s: true, .. } => FLAG_N | FLAG_Z,
@@ -268,6 +299,11 @@ pub(crate) struct UopTrace {
     pub(crate) body: Box<[UopEntry]>,
     /// The specialised exit.
     pub(crate) end: UopEnd,
+    /// Architectural steps one whole pass consumes: the block's body
+    /// plus its ending branch (fusion moves an instruction into the exit
+    /// without changing the count) — the dispatcher's whole-trace
+    /// budget threshold, re-checked before the runner hops into a trace.
+    pub(crate) steps: u64,
     /// Per-site translation slots, indexed by the `site` field of the
     /// body's memory uops. Interior-mutable so the runner can refill a
     /// slot while the trace is shared-borrowed from the block cache.
@@ -505,6 +541,7 @@ pub(crate) fn specialise(b: &Block) -> UopTrace {
     UopTrace {
         body: body.into_boxed_slice(),
         end,
+        steps: b.body.len() as u64 + matches!(b.end, BlockEnd::Branch { .. }) as u64,
         sites: vec![Cell::new(None); sites as usize].into_boxed_slice(),
     }
 }
@@ -660,6 +697,42 @@ mod tests {
         );
         let t = specialise(&b);
         assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Add, .. }));
+    }
+
+    #[test]
+    fn carry_passing_logical_op_does_not_kill_c() {
+        // eors r3,r5,r1,lsl #16 (fresh C from the shifter) ; tst r4,#243
+        // (unrotated immediate: C passes through) ; the exit observes C,
+        // so the eors flags must stay exact.
+        let b = block(
+            vec![
+                dp(
+                    DpOp::Eor,
+                    true,
+                    3,
+                    5,
+                    Op2::Reg {
+                        rm: Reg::R(1),
+                        shift: Shift::Lsl,
+                        amount: 16,
+                    },
+                ),
+                dp(DpOp::Tst, true, 0, 4, Op2::imm(243)),
+            ],
+            BlockEnd::Fallthrough,
+        );
+        let t = specialise(&b);
+        assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Eor, .. }));
+        // A rotated immediate does produce a carry-out: the eors dies.
+        let b = block(
+            vec![
+                b.body[0],
+                dp(DpOp::Tst, true, 0, 4, Op2::Imm { imm8: 3, rot: 1 }),
+            ],
+            BlockEnd::Fallthrough,
+        );
+        let t = specialise(&b);
+        assert!(matches!(t.body[0].op, Uop::Alu { op: DpOp::Eor, .. }));
     }
 
     #[test]

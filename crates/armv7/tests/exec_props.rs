@@ -700,6 +700,262 @@ proptest! {
     }
 }
 
+/// Splitmix64 step: a local generator, so one drawn seed shapes a whole
+/// kernel.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn pick(state: &mut u64, n: u64) -> u64 {
+    next(state) % n
+}
+
+/// A work register for generated kernels: `r0`-`r5` (`r7` and `r9`
+/// count loop iterations, `r8` holds the data-page base, `lr` the leaf's
+/// return).
+fn work_reg(state: &mut u64) -> Reg {
+    Reg::R(pick(state, 6) as u8)
+}
+
+/// A random condition: mostly `AL`, otherwise any of the fourteen tests.
+fn maybe_cond(state: &mut u64) -> Cond {
+    if pick(state, 4) == 0 {
+        Cond::from_bits(pick(state, 14) as u32).unwrap()
+    } else {
+        Cond::Al
+    }
+}
+
+fn rand_op2(state: &mut u64) -> Op2 {
+    if pick(state, 2) == 0 {
+        Op2::Imm {
+            imm8: pick(state, 256) as u8,
+            rot: pick(state, 16) as u8,
+        }
+    } else {
+        Op2::Reg {
+            rm: work_reg(state),
+            shift: Shift::from_bits(pick(state, 4) as u32),
+            amount: pick(state, 32) as u8,
+        }
+    }
+}
+
+/// Any data-processing instruction over the work registers, flag-setting
+/// or not, conditional or not (compares always set flags).
+fn emit_alu(a: &mut Assembler, state: &mut u64) {
+    let op = DpOp::from_bits(pick(state, 16) as u32);
+    let compare = matches!(op, DpOp::Tst | DpOp::Teq | DpOp::Cmp | DpOp::Cmn);
+    a.emit(Insn::Dp {
+        cond: maybe_cond(state),
+        op,
+        s: compare || pick(state, 3) == 0,
+        rd: if compare { Reg::R(0) } else { work_reg(state) },
+        rn: work_reg(state),
+        op2: rand_op2(state),
+    });
+}
+
+/// An unconditional flag-setter whose NZCV the following branch reads.
+fn emit_flag_setter(a: &mut Assembler, state: &mut u64) {
+    let op = [DpOp::Cmp, DpOp::Cmn, DpOp::Tst, DpOp::Sub, DpOp::Adc][pick(state, 5) as usize];
+    let compare = matches!(op, DpOp::Cmp | DpOp::Cmn | DpOp::Tst);
+    a.dp(
+        op,
+        true,
+        if compare { Reg::R(0) } else { work_reg(state) },
+        work_reg(state),
+        rand_op2(state),
+    );
+}
+
+/// ALU work with the occasional multiply or data-page load/store.
+fn emit_work(a: &mut Assembler, state: &mut u64) {
+    match pick(state, 6) {
+        0 => a.mul(work_reg(state), work_reg(state), work_reg(state)),
+        1 => {
+            let off = 4 * pick(state, 64) as u16;
+            if pick(state, 2) == 0 {
+                a.ldr_imm(work_reg(state), Reg::R(8), off);
+            } else {
+                a.str_imm(work_reg(state), Reg::R(8), off);
+            }
+        }
+        _ => emit_alu(a, state),
+    }
+}
+
+fn any_branch_cond(state: &mut u64) -> Cond {
+    Cond::from_bits(pick(state, 15) as u32).unwrap()
+}
+
+/// A random branchy loop kernel whose iterations pass through several
+/// small traces — the shape linked chaining exists for:
+///
+/// ```text
+///         mov r7, #iters ; movw r8, #DATA_VA
+/// top:    one of the segments below, in random order:
+///           skip:    <setter> ; b<c> 1f ; <alu>{0..3} ; 1:
+///           diamond: <setter> ; b<c> 2f ; b<c> 1f ; <alu>{0..2} ;
+///                    1: <alu>{1..2} ; 2:               (a lone branch)
+///           call:    bl leaf
+///           work:    <alu|mul|ldr|str>{1..4}
+///           inner:   mov r9, #n ; 1: <alu|mul|ldr|str>{1..3} ;
+///                    subs r9, r9, #1 ; bne 1b          (a self-loop)
+///         subs r7, r7, #1 ; bne top              conditional back-edge
+///         svc #0
+/// leaf:   <alu|mul|ldr|str>{1..4} ; bx lr
+/// ```
+fn branchy_kernel(seed: u64) -> Vec<u32> {
+    let mut st = seed;
+    let st = &mut st;
+    let mut a = Assembler::new(CODE_VA);
+    a.mov_imm(Reg::R(7), 6 + pick(st, 15) as u32);
+    a.mov_imm32(Reg::R(8), DATA_VA);
+    let top = a.label();
+    // Every kernel has a skip, a diamond and a call; 0-3 extra segments.
+    let mut segs = vec![0u64, 1, 2];
+    for _ in 0..pick(st, 4) {
+        segs.push(pick(st, 5));
+    }
+    for i in (1..segs.len()).rev() {
+        segs.swap(i, pick(st, i as u64 + 1) as usize);
+    }
+    let mut calls = Vec::new();
+    for seg in segs {
+        match seg {
+            0 => {
+                emit_flag_setter(&mut a, st);
+                let fwd = a.b_fixup(any_branch_cond(st));
+                for _ in 0..pick(st, 4) {
+                    emit_work(&mut a, st);
+                }
+                let here = a.here();
+                a.fix_branch(fwd, here);
+            }
+            1 => {
+                emit_flag_setter(&mut a, st);
+                let out = a.b_fixup(any_branch_cond(st));
+                let mid = a.b_fixup(any_branch_cond(st));
+                for _ in 0..pick(st, 3) {
+                    emit_work(&mut a, st);
+                }
+                let here = a.here();
+                a.fix_branch(mid, here);
+                for _ in 0..1 + pick(st, 2) {
+                    emit_work(&mut a, st);
+                }
+                let here = a.here();
+                a.fix_branch(out, here);
+            }
+            2 => calls.push(a.bl_fixup(Cond::Al)),
+            3 => {
+                for _ in 0..1 + pick(st, 4) {
+                    emit_work(&mut a, st);
+                }
+            }
+            _ => {
+                a.mov_imm(Reg::R(9), 2 + pick(st, 12) as u32);
+                let inner = a.label();
+                for _ in 0..1 + pick(st, 3) {
+                    emit_work(&mut a, st);
+                }
+                a.subs_imm(Reg::R(9), Reg::R(9), 1);
+                a.b_to(Cond::Ne, inner);
+            }
+        }
+    }
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.b_to(Cond::Ne, top);
+    a.svc(0);
+    let leaf = a.here();
+    for call in calls {
+        a.fix_branch(call, leaf);
+    }
+    for _ in 0..1 + pick(st, 4) {
+        emit_work(&mut a, st);
+    }
+    a.bx(Reg::Lr);
+    a.words()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Linked chaining, four ways: random branchy kernels (forward
+    /// conditional skips, lone-branch diamonds, a `BL` leaf returning by
+    /// `BX LR`, self-looping inner loops, a conditional back-edge) run
+    /// with promotion forced at two dispatches, under step budgets and
+    /// chains of IRQ deadlines drawn to land mid-chain, each run resumed
+    /// until the kernel's `SVC`. The micro-op, superblock,
+    /// accelerator-only and baseline machines, their exit sequences and
+    /// counters must agree exactly, and the micro-op runner must actually
+    /// have hopped between traces.
+    #[test]
+    fn prop_linked_chains_are_architecturally_invisible(
+        seed in any::<u64>(),
+        init in proptest::array::uniform8(any::<u32>()),
+        budget in 24u64..300,
+        irqs in proptest::collection::vec(1u64..800, 0..4),
+    ) {
+        let code = branchy_kernel(seed);
+        let run = |accel: bool,
+                   superblocks: bool,
+                   uops: bool|
+         -> Result<(Machine, Vec<ExitReason>), proptest::test_runner::TestCaseError> {
+            let mut m = machine_with(&code);
+            m.set_fetch_accel(accel);
+            m.set_superblocks(superblocks);
+            m.set_uop_traces(uops);
+            m.set_uop_threshold(2);
+            for (i, v) in init.iter().take(6).enumerate() {
+                m.regs.set(Mode::User, Reg::R(i as u8), *v);
+            }
+            let mut deadlines = irqs.iter();
+            m.irq_at = deadlines.next().map(|d| m.cycles + d);
+            let mut exits = Vec::new();
+            loop {
+                let exit = m.run_user(budget).unwrap();
+                exits.push(exit);
+                match exit {
+                    ExitReason::Svc { .. } => break,
+                    ExitReason::StepLimit => {}
+                    ExitReason::Irq => {
+                        m.irq_at = deadlines.next().map(|d| m.cycles + d);
+                        m.exception_return().unwrap();
+                    }
+                    other => prop_assert!(false, "unexpected exit {:?}", other),
+                }
+                prop_assert!(exits.len() < 10_000, "kernel never reached its SVC");
+            }
+            Ok((m, exits))
+        };
+        let (uop, exits_uop) = run(true, true, true)?;
+        let (sb, exits_sb) = run(true, true, false)?;
+        let (on, exits_on) = run(true, false, false)?;
+        let (off, exits_off) = run(false, false, false)?;
+        prop_assert_eq!(&exits_uop, &exits_off, "uop exit sequence diverged");
+        prop_assert_eq!(&exits_sb, &exits_off, "superblock exit sequence diverged");
+        prop_assert_eq!(&exits_on, &exits_off, "accel-only exit sequence diverged");
+        for (name, m) in [("uop", &uop), ("superblock", &sb), ("accel-only", &on)] {
+            prop_assert_eq!(m.cycles, off.cycles, "{} cycle model diverged", name);
+            prop_assert_eq!(m.tlb.hits, off.tlb.hits, "{} TLB hits diverged", name);
+            prop_assert_eq!(m.tlb.misses, off.tlb.misses, "{} TLB misses diverged", name);
+            prop_assert_eq!(m.mem.reads, off.mem.reads, "{} reads diverged", name);
+            prop_assert_eq!(m.mem.writes, off.mem.writes, "{} writes diverged", name);
+            prop_assert!(*m == off, "{} architectural state diverged", name);
+        }
+        let s = uop.superblock_stats();
+        prop_assert!(s.uop_promoted > 0, "no trace promoted: {:?}", s);
+        prop_assert!(s.uop_linked > 0, "the runner never hopped: {:?}", s);
+        prop_assert!(s.chained >= s.uop_linked, "hops must count as chained hits: {:?}", s);
+    }
+}
+
 /// FIQ takes priority over IRQ and lands in FIQ mode with its own bank.
 #[test]
 fn fiq_beats_irq_and_banks_correctly() {
