@@ -3,26 +3,27 @@
 //! accelerator only, baseline (see `komodo_armv7::dcache`,
 //! `komodo_armv7::uop` and `komodo_bench::throughput`).
 //!
-//! Run with `cargo bench -p komodo-bench --bench sim_throughput`; set
-//! `KOMODO_BENCH_QUICK=1` for the CI smoke configuration. Besides the
-//! per-workload timings, a summary table of host instructions/second and
-//! the speedups over baseline and over the accelerator-only configuration
-//! is printed at the end; the summary pass asserts all four final
-//! machines are architecturally identical.
+//! Run with `cargo bench -p komodo-bench --bench sim_throughput`.
+//! `KOMODO_BENCH_QUICK=1` shortens the Criterion group only; the
+//! summary always measures 50k simulated instructions per workload and
+//! configuration, so its gated ratios mean the same in every mode.
+//!
+//! The summary pass asserts all four final machines are architecturally
+//! identical per workload, times the armed flight recorder against the
+//! disabled one, and builds one [`BenchReport`]. The report must pass
+//! every row of [`GATES`] before it is written to
+//! `BENCH_sim_throughput.json` at the repository root; a failed row
+//! panics, so the bench exits non-zero and nothing is written.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use komodo_bench::attested::{agg_4x_paired, attested_throughput};
-use komodo_bench::fleet::default_sweep;
-use komodo_bench::ingest::ingest_4x_paired;
-use komodo_bench::service::{default_service_sweep, vs_fleet_4x_paired};
+use komodo_bench::report::{BenchReport, GATES};
 use komodo_bench::throughput::{guest, measure_all, trace_overhead, workloads};
 
-fn quick() -> bool {
-    std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
+/// Simulated instructions per workload run, in the Criterion group and
+/// the gated summary alike.
+const STEPS: u64 = 50_000;
 
 fn sim_throughput(c: &mut Criterion) {
-    let steps: u64 = if quick() { 5_000 } else { 50_000 };
     let mut g = c.benchmark_group("sim_throughput");
     for (name, code) in workloads() {
         for (label, accel, superblocks, uops) in [
@@ -37,209 +38,29 @@ fn sim_throughput(c: &mut Criterion) {
                     m.set_fetch_accel(accel);
                     m.set_superblocks(superblocks);
                     m.set_uop_traces(uops);
-                    m.run_user(steps).unwrap()
+                    m.run_user(STEPS).unwrap()
                 })
             });
         }
     }
     g.finish();
 
+    // measure_all asserts uop == superblock == accel == baseline final
+    // machines for every workload.
+    let results = measure_all(STEPS);
     println!();
-    println!(
-        "{:<16} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>9}",
-        "workload",
-        "uop insn/s",
-        "sb insn/s",
-        "accel insn/s",
-        "base insn/s",
-        "uop/sb",
-        "sb/base",
-        "sb/accel"
-    );
-    let results = measure_all(steps);
-    for t in &results {
-        println!(
-            "{:<16} {:>14.0} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>7.2}x {:>8.2}x",
-            t.name,
-            t.uop_ips,
-            t.sb_ips,
-            t.accel_ips,
-            t.base_ips,
-            t.uop_over_sb(),
-            t.sb_speedup(),
-            t.sb_over_accel()
-        );
-    }
-    // measure_all asserted uop == superblock == accel == baseline final
-    // machines for every workload; this line lets CI verify the check
-    // actually ran.
     println!(
         "machine-equality check: {} workloads x 4 configurations verified identical",
         results.len()
     );
 
-    // Fleet shard scaling: identical 16-job workload mix at 1/2/4/8
-    // shards on the komodo-fleet scheduler. Wall aggregate is capped by
-    // the host's core count, so the scaling signal (and the CI gate) is
-    // the CPU-normalized aggregate — shards x insns per busy CPU second
-    // (see komodo_bench::fleet). default_sweep() also asserts the folded
-    // metric totals are bit-for-bit identical across shard counts.
-    println!();
-    // The chained micro-op tier retires jobs fast enough that 100k-step
-    // requests are dominated by fixed per-request costs and timer
-    // granularity; the full budget is cheap now, so quick mode uses it
-    // too and the ratio gate below stays stable.
-    let fleet_steps: u64 = 400_000;
-    let scaling = default_sweep(fleet_steps);
-    for r in &scaling.rows {
-        println!(
-            "fleet throughput: {} shards wall {:.0} insn/s, cpu {:.0} insn/s, \
-             aggregate {:.0} insn/s ({:.2}x)",
-            r.shards,
-            r.wall_ips(),
-            r.cpu_ips(),
-            r.agg_ips(),
-            scaling.agg_speedup(r.shards)
-        );
-    }
-    println!(
-        "fleet shard-scaling: 4-shard aggregate {:.2}x 1-shard (cpu-normalized), \
-         totals identical across shard counts",
-        scaling.agg_speedup(4)
-    );
-    assert!(
-        scaling.agg_speedup(4) >= 2.5,
-        "4-shard CPU-normalized aggregate must scale at least 2.5x over 1 shard \
-         (got {:.2}x)",
-        scaling.agg_speedup(4)
-    );
-
-    // Service node head-to-head: the same step budget arriving as typed
-    // Invoke requests through the komodo-service front end (seeded
-    // open-loop burst schedule). The gate is the 4-shard CPU-normalized
-    // aggregate ratio against the raw fleet above: the request layer —
-    // admission, per-request records, response path — must cost at most
-    // 10% (ratio >= 0.9). Latency percentiles are exact, from the
-    // per-request records.
-    println!();
-    let svc = default_service_sweep(fleet_steps);
-    for r in &svc.rows {
-        println!(
-            "service throughput: {} shards {:.0} req/s, aggregate {:.0} insn/s, \
-             {} requests completed",
-            r.shards,
-            r.req_s(),
-            r.agg_ips(),
-            r.completed
-        );
-    }
-    for r in &svc.rows {
-        println!(
-            "service latency: {} shards p50 {:.1} us, p99 {:.1} us",
-            r.shards,
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3
-        );
-    }
-    // Paired re-measurement absorbs transient host contention landing
-    // on one sweep and not the other: the gate polices a systematic
-    // request-layer tax, not a scheduling hiccup (see
-    // komodo_bench::service::vs_fleet_4x_paired).
-    let vs_fleet = vs_fleet_4x_paired(&svc, &scaling, 2);
-    println!(
-        "service vs fleet: 4-shard cpu-normalized aggregate ratio {vs_fleet:.2} \
-         (gate: >= 0.90)"
-    );
-    assert!(
-        vs_fleet >= 0.9,
-        "service 4-shard aggregate must stay within 10% of the raw fleet \
-         (ratio {vs_fleet:.2})"
-    );
-
-    // Ingestion head-to-head: the seeded attestation-quote schedule
-    // submitted one request at a time from one thread vs batched
-    // parallel submission (4 submitter partitions, 1024-request
-    // batches) into the sharded queue. The gate is submission
-    // throughput — scheduled requests per submit-phase second — and the
-    // batched path must sustain at least 2x the single-submit rate at 4
-    // shards. The win is per-batch amortization (one timestamp, one
-    // reservation pass over the shard locks, one result block, one
-    // worker wake), so it holds on single-core hosts too; paired
-    // re-measurement absorbs transient host stalls (see
-    // komodo_bench::ingest).
-    println!();
-    let ingest_requests: u64 = if quick() { 20_000 } else { 50_000 };
-    let ingest = ingest_4x_paired(ingest_requests, 4, 1024, 2);
-    println!(
-        "ingest throughput: single-submit {:.0} req/s, batched {:.0} req/s \
-         ({} requests, {} shards, {} submitters x batch {})",
-        ingest.single.submit_rps(),
-        ingest.batched.submit_rps(),
-        ingest.batched.requests,
-        ingest.batched.shards,
-        ingest.batched.submitters,
-        ingest.batched.batch
-    );
-    println!(
-        "ingest steal accounting: {} own, {} stolen, jobs conserved per shard",
-        ingest.batched.steal_own, ingest.batched.steal_stolen
-    );
-    let batch_over_single = ingest.batch_over_single();
-    println!("ingest batched-over-single: {batch_over_single:.2}x (gate: >= 2.00)");
-    assert!(
-        batch_over_single >= 2.0,
-        "batched parallel submission must sustain at least 2x the \
-         single-submit request rate at 4 shards (got {batch_over_single:.2}x)"
-    );
-
-    // Attested sessions: the full remote-attestation handshake driven
-    // closed-loop at 1 and 4 shards. The sweep asserts every handshake
-    // establishes and the outcome (session-key digest included) is
-    // bit-identical at both shard counts; the gates here are 100%
-    // handshake success and a 4-shard CPU-normalized aggregate of at
-    // least 2.5x the single shard (paired re-measurement absorbs
-    // transient host contention, as for the fleet/service gates).
-    println!();
-    let attested_sessions: usize = if quick() { 200 } else { 1_000 };
-    let att = attested_throughput(attested_sessions, 1, &[1, 4]);
-    for r in &att.rows {
-        println!(
-            "attested throughput: {} shards {:.0} sessions/s, p50 {:.1} us, \
-             p99 {:.1} us, aggregate {:.0} sessions/s",
-            r.shards,
-            r.sessions_per_s(),
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.agg_sessions_per_s()
-        );
-    }
-    let established = att.rows[0].outcome.established;
-    println!(
-        "attested handshake success: 100% ({established} of {attested_sessions} \
-         established, outcome identical at 1 and 4 shards)"
-    );
-    assert_eq!(established, attested_sessions as u64);
-    let attested_4x = agg_4x_paired(&att, 2);
-    println!("attested shard-scaling: 4-shard aggregate {attested_4x:.2}x 1-shard (gate: >= 2.50)");
-    assert!(
-        attested_4x >= 2.5,
-        "4-shard attested aggregate must scale at least 2.5x over 1 shard \
-         (got {attested_4x:.2}x)"
-    );
-
-    // Flight-recorder overhead budget: armed tracing must stay within 2%
-    // of the disabled recorder on every workload. Recording only happens
-    // at boundary events (superblock builds, exceptions, flushes), so the
-    // hot loop's only cost is carrying the instrumentation at all. The
-    // overhead check always runs a fixed step budget — quick mode's tiny
-    // runs are too short to time a 2% difference meaningfully, and the
-    // chained micro-op tier now retires 50k steps in a couple hundred
-    // microseconds, inside scheduler jitter, so the budget needs a
-    // millisecond-scale timed region. It is the most
-    // timing-noise-sensitive check here, so it runs last: a noisy
-    // host failing the budget doesn't mask the correctness and scaling
-    // checks above.
-    println!();
+    // Flight-recorder overhead: armed tracing against the disabled
+    // recorder on every workload. Recording only happens at boundary
+    // events (superblock builds, exceptions, flushes), so the hot loop's
+    // only cost is carrying the instrumentation at all. The chained
+    // micro-op tier retires 50k steps in a couple hundred microseconds,
+    // inside scheduler jitter, so this check times 1M steps to get a
+    // millisecond-scale region a 2% difference shows in.
     let overhead_steps: u64 = 1_000_000;
     let mut worst: f64 = 0.0;
     for (name, code) in workloads() {
@@ -251,14 +72,28 @@ fn sim_throughput(c: &mut Criterion) {
              ({overhead_pct:.2}% overhead)"
         );
     }
+
+    let report = BenchReport::stamped(results, worst);
+    println!();
     println!(
-        "trace overhead check: worst-case {worst:.2}% (budget 2.00%) across {} workloads",
-        workloads().len()
+        "{STEPS} simulated instructions per workload, nproc {}, git {}:",
+        report.nproc, report.git_rev
     );
+    print!("{}", report.to_markdown());
+    println!();
+    let checks = report.check(GATES);
+    for check in &checks {
+        println!("gate {check}");
+    }
     assert!(
-        worst <= 2.0,
-        "flight-recorder overhead {worst:.2}% exceeds the 2% budget"
+        checks.iter().all(|c| c.passed()),
+        "BENCH_sim_throughput.json not written: a gate failed"
     );
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim_throughput.json");
+    std::fs::write(&path, report.to_json())
+        .unwrap_or_else(|err| panic!("could not write {}: {err}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 criterion_group!(benches, sim_throughput);

@@ -1,11 +1,13 @@
 //! Chaos campaign smoke: the fault-injection harness at scale, gated.
 //!
-//! Three checks, each printing a grep-able verdict line for CI:
+//! Three checks, each asserted (a failure exits non-zero) and then
+//! printed as a verdict line:
 //!
 //! 1. **Scale + oracles.** A seeded campaign (10k cases by default, 1k
 //!    under `KOMODO_BENCH_QUICK=1`) fans across 4 fleet shards; every
 //!    case must pass both the noninterference and the refinement
-//!    oracle against the correct monitor.
+//!    oracle against the correct monitor, and every fault kind must
+//!    have been injected.
 //! 2. **Determinism.** The identical campaign re-runs single-sharded;
 //!    the two verdict digests must match bit-for-bit — case outcomes
 //!    depend only on `(master seed, case index)`, never on scheduling.
@@ -15,10 +17,26 @@
 //!    must still fail when re-run from scratch.
 
 use komodo::Platform;
-use komodo_bench::chaos::{campaign_at, default_campaign, CHAOS_SEED};
-use komodo_chaos::schedule::CaseSpec;
-use komodo_chaos::{run_case_spec, shrink_case, CampaignConfig, ChaosConfig};
+use komodo_chaos::schedule::{CaseSpec, Fault};
+use komodo_chaos::{
+    run_campaign, run_case_spec, shrink_case, CampaignConfig, CampaignReport, ChaosConfig,
+};
 use komodo_monitor::PlantedBugs;
+
+/// Master seed for the smoke's campaigns — fixed so the verdict digest
+/// is reproducible on any host.
+const CHAOS_SEED: u64 = 0xc4a0_5eed;
+
+/// `cases` seeded fault-injection cases fanned across `shards` fleet
+/// shards under the default chaos config.
+fn campaign(cases: u64, shards: usize) -> CampaignReport {
+    run_campaign(&CampaignConfig {
+        master_seed: CHAOS_SEED,
+        cases,
+        shards,
+        ..CampaignConfig::default()
+    })
+}
 
 fn main() {
     let quick = std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -26,7 +44,7 @@ fn main() {
 
     // (1) Scale: the full campaign on 4 shards.
     println!("chaos campaign: {cases} cases, master seed {CHAOS_SEED:#x}, 4 shards");
-    let wide = default_campaign(cases, 4);
+    let wide = campaign(cases, 4);
     println!(
         "  {} passed / {} cases, {} faults injected over {} slots, {:.0} cases/s",
         wide.passed,
@@ -48,10 +66,22 @@ fn main() {
         wide.all_green(),
         "oracle violations against correct monitor"
     );
-    println!("chaos smoke ok: {} cases, 0 oracle violations", wide.cases);
+    for (kind, &n) in wide.injected.iter().enumerate() {
+        assert!(
+            n > 0,
+            "fault kind {} never injected in {} cases",
+            Fault::kind_name(kind as u8),
+            wide.cases
+        );
+    }
+    println!(
+        "chaos smoke ok: {} cases, 0 oracle violations, all {} fault kinds injected",
+        wide.cases,
+        Fault::KINDS
+    );
 
     // (2) Determinism: same campaign, one shard, digest must match.
-    let narrow = campaign_at(CHAOS_SEED, cases, 1);
+    let narrow = campaign(cases, 1);
     assert_eq!(
         wide.verdict_digest, narrow.verdict_digest,
         "verdict digest changed with shard count"
@@ -71,7 +101,7 @@ fn main() {
         },
         ..ChaosConfig::default()
     };
-    let report = komodo_chaos::run_campaign(&CampaignConfig {
+    let report = run_campaign(&CampaignConfig {
         master_seed: CHAOS_SEED,
         cases: if quick { 200 } else { 1_000 },
         shards: 4,

@@ -12,7 +12,6 @@
 //! reproduction, the analogue of the paper's effort accounting.
 
 use komodo::{Platform, PlatformConfig};
-use komodo_bench::{attested, chaos, fleet, ingest, service, throughput};
 use komodo_guest::progs;
 use komodo_os::EnclaveRun;
 
@@ -153,240 +152,4 @@ fn main() {
          while SGXv2 hardware was still unannounced 3 years after its\n\
          specification (§1, §7.3)."
     );
-    println!();
-
-    // (c) Simulator host throughput, tracked across the repo's evolution.
-    // The fetch accelerator, the superblock engine and the micro-op
-    // specialisation tier are all bit-for-bit neutral on the simulated
-    // cycle model (measure() asserts final-state equality across all four
-    // configurations), so only host instructions/second move here.
-    let steps: u64 = if std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1") {
-        5_000
-    } else {
-        50_000
-    };
-    println!("Simulator host throughput ({steps} simulated instructions/workload):");
-    println!(
-        "  {:<16} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>9}",
-        "workload",
-        "uop insn/s",
-        "sb insn/s",
-        "accel insn/s",
-        "base insn/s",
-        "uop/sb",
-        "sb/base",
-        "sb/accel"
-    );
-    let results = throughput::measure_all(steps);
-    for t in &results {
-        println!(
-            "  {:<16} {:>14.0} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>7.2}x {:>8.2}x",
-            t.name,
-            t.uop_ips,
-            t.sb_ips,
-            t.accel_ips,
-            t.base_ips,
-            t.uop_over_sb(),
-            t.sb_speedup(),
-            t.sb_over_accel()
-        );
-        println!(
-            "  {:<16} blocks: {} built, {} hits ({} chained), {} invalidations ({} code-gen, {} tlb)",
-            "",
-            t.metrics.sb_built,
-            t.metrics.sb_hits,
-            t.metrics.sb_chained,
-            t.metrics.sb_invalidations(),
-            t.metrics.sb_inval_code_gen,
-            t.metrics.sb_inval_tlb
-        );
-        println!(
-            "  {:<16} uop: {} promoted, {} trace hits, {} invalidations",
-            "", t.metrics.uop_promoted, t.metrics.uop_hits, t.metrics.uop_invalidations
-        );
-        println!(
-            "  {:<16} dtlb: {} hits, {} misses, {} invalidations",
-            "",
-            t.metrics.dtlb_hits,
-            t.metrics.dtlb_misses,
-            t.metrics.dtlb_invalidations()
-        );
-    }
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Simulator throughput\"):");
-    print!("{}", throughput::to_markdown(&results));
-    println!();
-
-    // (d) Fleet shard scaling: the identical 16-job workload mix at
-    // 1/2/4/8 shards on the komodo-fleet scheduler. Wall aggregate is
-    // capped by the host's core count; the CPU-normalized aggregate
-    // (shards x insns / busy CPU seconds) is the core-count-independent
-    // scaling signal — see komodo_bench::fleet.
-    let fleet_steps: u64 = if std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1") {
-        100_000
-    } else {
-        400_000
-    };
-    println!("Fleet shard scaling (16 jobs x {fleet_steps} simulated instructions):");
-    println!(
-        "  {:<8} {:>14} {:>14} {:>16} {:>12}",
-        "shards", "wall insn/s", "cpu insn/s", "agg insn/s", "agg speedup"
-    );
-    let scaling = fleet::default_sweep(fleet_steps);
-    for r in &scaling.rows {
-        println!(
-            "  {:<8} {:>14.0} {:>14.0} {:>16.0} {:>11.2}x",
-            r.shards,
-            r.wall_ips(),
-            r.cpu_ips(),
-            r.agg_ips(),
-            scaling.agg_speedup(r.shards)
-        );
-    }
-    println!(
-        "fleet shard-scaling: 4-shard aggregate {:.2}x 1-shard (cpu-normalized), \
-         totals identical across shard counts",
-        scaling.agg_speedup(4)
-    );
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Fleet shard scaling\"):");
-    print!("{}", fleet::fleet_to_markdown(&scaling));
-    println!();
-
-    // (e) Service node: the same step budget arriving as typed Invoke
-    // requests through the komodo-service front end (seeded open-loop
-    // burst). The head-to-head number is the 4-shard CPU-normalized
-    // aggregate ratio against the raw fleet — the request layer must be
-    // bookkeeping, not a throughput tax.
-    println!("Service node (16 requests x {fleet_steps} simulated instructions):");
-    println!(
-        "  {:<8} {:>10} {:>12} {:>12} {:>16}",
-        "shards", "req/s", "p50 us", "p99 us", "agg insn/s"
-    );
-    let svc = service::default_service_sweep(fleet_steps);
-    for r in &svc.rows {
-        println!(
-            "  {:<8} {:>10.0} {:>12.1} {:>12.1} {:>16.0}",
-            r.shards,
-            r.req_s(),
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.agg_ips()
-        );
-    }
-    println!(
-        "service vs fleet: 4-shard cpu-normalized aggregate ratio {:.2}",
-        svc.vs_fleet(&scaling, 4)
-    );
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Service node\"):");
-    print!("{}", service::service_to_markdown(&svc));
-    println!();
-
-    // (f) Ingestion head-to-head: per-request submission vs batched
-    // parallel submission into the sharded queue, gated at 2x
-    // submission throughput (see komodo_bench::ingest).
-    let ingest_requests: u64 = if std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1") {
-        20_000
-    } else {
-        50_000
-    };
-    let cmp = ingest::ingest_4x_paired(ingest_requests, 4, 1024, 2);
-    println!(
-        "Ingestion ({} attestation quotes, 4 shards): single-submit {:.0} req/s, \
-         batched {:.0} req/s ({:.2}x), {} own / {} stolen",
-        cmp.batched.requests,
-        cmp.single.submit_rps(),
-        cmp.batched.submit_rps(),
-        cmp.batch_over_single(),
-        cmp.batched.steal_own,
-        cmp.batched.steal_stolen
-    );
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Parallel ingestion\"):");
-    print!("{}", ingest::ingest_to_markdown(&cmp));
-    println!();
-
-    // (g) Chaos campaign: seeded fault-injection cases against the NI
-    // and refinement oracles, fanned across 4 fleet shards. Verdicts
-    // are bit-for-bit reproducible from the master seed (the digest is
-    // shard-count-invariant — the chaos smoke gates on it); the
-    // evolution run gates on every case passing.
-    let chaos_cases: u64 = if std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1") {
-        250
-    } else {
-        2_000
-    };
-    let campaign = chaos::default_campaign(chaos_cases, 4);
-    println!(
-        "Chaos campaign ({} cases, master seed {:#x}, 4 shards):",
-        campaign.cases,
-        chaos::CHAOS_SEED
-    );
-    println!(
-        "  {} passed / {} cases, {} faults over {} slots, {:.0} cases/s",
-        campaign.passed,
-        campaign.cases,
-        campaign.injected.iter().sum::<u64>(),
-        campaign.slots,
-        campaign.cases_per_sec()
-    );
-    println!("  fault mix: {}", campaign.fault_mix_line());
-    println!("  verdict digest: {}", campaign.verdict_digest);
-    assert!(
-        campaign.all_green(),
-        "chaos campaign found oracle violations: {:?}",
-        campaign.failures
-    );
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Chaos campaign\"):");
-    print!("{}", chaos::chaos_to_markdown(&campaign));
-    println!();
-
-    // (h) Attested sessions: the full remote-attestation handshake
-    // (challenge → in-enclave quote → verifier check → confirmation →
-    // MAC'd traffic → close) driven closed-loop at 1 and 4 shards. The
-    // sweep itself asserts the protocol contract in the large — every
-    // handshake establishes, and the outcome (session-key digest
-    // included) is bit-identical at both shard counts.
-    let attested_sessions: usize = if std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1") {
-        200
-    } else {
-        1_000
-    };
-    println!(
-        "Attested sessions ({attested_sessions} handshakes x 1 message, seed {:#x}):",
-        attested::ATTESTED_SEED
-    );
-    println!(
-        "  {:<8} {:>12} {:>12} {:>12} {:>20}",
-        "shards", "sessions/s", "hs p50 us", "hs p99 us", "agg sessions/s"
-    );
-    let att = attested::attested_throughput(attested_sessions, 1, &[1, 4]);
-    for r in &att.rows {
-        println!(
-            "  {:<8} {:>12.0} {:>12.1} {:>12.1} {:>20.0}",
-            r.shards,
-            r.sessions_per_s(),
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.agg_sessions_per_s()
-        );
-    }
-    let agg_4x = attested::agg_4x_paired(&att, 2);
-    println!(
-        "attested handshakes: 100% established, outcome identical at 1 and 4 \
-         shards, 4-shard aggregate {agg_4x:.2}x 1-shard (cpu-normalized)"
-    );
-    println!();
-    println!("EXPERIMENTS.md table (paste into \"Attested sessions\"):");
-    print!("{}", attested::attested_to_markdown(&att));
-    let json_path = root.join("BENCH_sim_throughput.json");
-    match std::fs::write(
-        &json_path,
-        attested::to_json_with_attested(&results, &scaling, &svc, &cmp, &campaign, &att, agg_4x),
-    ) {
-        Ok(()) => println!("  wrote {}", json_path.display()),
-        Err(e) => println!("  (could not write {}: {e})", json_path.display()),
-    }
 }

@@ -21,10 +21,13 @@
 //! `INGEST_SMOKE_REQUESTS` overrides the request count (for quick local
 //! iteration); CI runs the full million.
 
-use komodo_bench::ingest::INGEST_SEED;
 use komodo_service::{drive_indexed, schedule_indexed, Mix, Request, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Seed for the arrival schedule — fixed so every run replays the
+/// identical request sequence.
+const INGEST_SEED: u64 = 0x1261_e575;
 
 /// A minimal sandbox program: exit immediately. The per-request work is
 /// one enclave dispatch — small enough that the run is ingestion- and

@@ -13,6 +13,15 @@
 //! plus Criterion wall-time benches (`cargo bench -p komodo-bench`) and
 //! the optimisation-ablation bench for the §8.1 discussion.
 //!
+//! Beyond the paper, one harness per question:
+//!
+//! | Question | Harness |
+//! |---|---|
+//! | Simulator host throughput per stepping configuration; the only writer of `BENCH_sim_throughput.json` ([`report`]) | `cargo bench -p komodo-bench --bench sim_throughput` |
+//! | Ingestion conservation at 10⁶ requests under backpressure | `cargo run --release -p komodo-bench --bin ingest_smoke` |
+//! | Chaos campaign: oracles green, fault mix, shard-count determinism, planted bug caught and shrunk | `cargo run --release -p komodo-bench --bin chaos_smoke` |
+//! | The service node end to end (handshakes, attestation, session traffic) | `svcbench/` (declared in `BENCHMARK.json`) |
+//!
 //! Cycle numbers are *simulated* cycles from the machine model's cost
 //! schedule; the harness prints the paper's measured numbers alongside so
 //! the shape (ordering, rough ratios) can be compared directly.
@@ -20,13 +29,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attested;
-pub mod chaos;
-pub mod fleet;
-pub mod ingest;
 pub mod micro;
 pub mod notary;
-pub mod service;
+pub mod report;
 pub mod throughput;
 
 /// Clock frequency of the paper's evaluation platform (Raspberry Pi 2,

@@ -146,8 +146,7 @@ pub fn hot_mixed() -> Vec<Word> {
     a.words()
 }
 
-/// The named workloads measured by the throughput bench and the
-/// `evolution` experiment binary.
+/// The named workloads the `sim_throughput` bench measures.
 pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
     vec![
         ("straight_line", straight_line()),
@@ -325,8 +324,9 @@ pub fn run_with_interrupt(code: &[Word], steps: u64, trace_cap: usize) -> Machin
 /// configuration with the flight recorder disabled vs armed, returned as
 /// `(off_ips, on_ips)`. The workloads only cross recording sites at
 /// boundary events (superblock builds, exceptions, flushes), so the two
-/// should be indistinguishable — the bench smoke asserts they stay
-/// within the instrumentation overhead budget.
+/// should be indistinguishable — the `sim_throughput` bench gates the
+/// worst case at the instrumentation overhead budget
+/// ([`crate::report::GATES`]).
 ///
 /// Each rep times the disabled and armed recorder back-to-back and the
 /// pair with the lowest armed/disabled ratio wins. A sustained host
@@ -368,86 +368,6 @@ pub fn measure_all(steps: u64) -> Vec<Throughput> {
         .into_iter()
         .map(|(name, code)| measure(name, &code, steps))
         .collect()
-}
-
-/// Renders measurements as the `BENCH_sim_throughput.json` document
-/// (hand-rolled: the hermetic build has no JSON dependency).
-pub fn to_json(results: &[Throughput]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"sim_throughput\",\n");
-    s.push_str("  \"unit\": \"host_instructions_per_second\",\n");
-    s.push_str("  \"workloads\": [\n");
-    for (i, t) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"insns\": {}, \"uop_ips\": {:.0}, \
-             \"sb_ips\": {:.0}, \
-             \"accel_ips\": {:.0}, \"base_ips\": {:.0}, \
-             \"uop_speedup\": {:.2}, \"uop_over_sb\": {:.2}, \
-             \"sb_speedup\": {:.2}, \"sb_over_accel\": {:.2}, \
-             \"accel_speedup\": {:.2}, \
-             \"uop_promoted\": {}, \"uop_hits\": {}, \
-             \"uop_invalidations\": {}, \"blocks_built\": {}, \
-             \"block_hits\": {}, \"block_chained\": {}, \
-             \"block_invalidations\": {}, \
-             \"block_inval_code_gen\": {}, \"block_inval_tlb\": {}, \
-             \"dtlb_hits\": {}, \"dtlb_misses\": {}, \
-             \"dtlb_invalidations\": {}, \
-             \"tlb_hits\": {}, \"tlb_misses\": {}}}{}\n",
-            t.name,
-            t.insns,
-            t.uop_ips,
-            t.sb_ips,
-            t.accel_ips,
-            t.base_ips,
-            t.uop_speedup(),
-            t.uop_over_sb(),
-            t.sb_speedup(),
-            t.sb_over_accel(),
-            t.speedup(),
-            t.metrics.uop_promoted,
-            t.metrics.uop_hits,
-            t.metrics.uop_invalidations,
-            t.metrics.sb_built,
-            t.metrics.sb_hits,
-            t.metrics.sb_chained,
-            t.metrics.sb_invalidations(),
-            t.metrics.sb_inval_code_gen,
-            t.metrics.sb_inval_tlb,
-            t.metrics.dtlb_hits,
-            t.metrics.dtlb_misses,
-            t.metrics.dtlb_invalidations(),
-            t.metrics.tlb_hits,
-            t.metrics.tlb_misses,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders measurements as the EXPERIMENTS.md markdown table, so the doc
-/// and `BENCH_sim_throughput.json` are regenerated from the same run and
-/// cannot drift.
-pub fn to_markdown(results: &[Throughput]) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "| workload | uop insn/s | superblock insn/s | accel insn/s | base insn/s | uop/sb | sb/base | sb/accel |\n",
-    );
-    s.push_str("|---|---:|---:|---:|---:|---:|---:|---:|\n");
-    for t in results {
-        s.push_str(&format!(
-            "| {} | ~{}M | ~{}M | ~{}M | ~{}M | ~{:.2}× | ~{:.1}× | ~{:.2}× |\n",
-            t.name,
-            (t.uop_ips / 1e6).round() as u64,
-            (t.sb_ips / 1e6).round() as u64,
-            (t.accel_ips / 1e6).round() as u64,
-            (t.base_ips / 1e6).round() as u64,
-            t.uop_over_sb(),
-            t.sb_speedup(),
-            t.sb_over_accel(),
-        ));
-    }
-    s
 }
 
 #[cfg(test)]
@@ -526,55 +446,5 @@ mod tests {
                 "{name}: stamps not monotone: {cycles:?}"
             );
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let t = Throughput {
-            name: "tight_loop",
-            insns: 1000,
-            uop_ips: 6.0e6,
-            sb_ips: 3.0e6,
-            accel_ips: 2.0e6,
-            base_ips: 1.0e6,
-            metrics: MetricsSnapshot {
-                uop_promoted: 1,
-                uop_hits: 30,
-                uop_invalidations: 1,
-                sb_built: 2,
-                sb_hits: 40,
-                sb_chained: 38,
-                sb_inval_code_gen: 1,
-                sb_inval_tlb: 2,
-                dtlb_hits: 7,
-                dtlb_misses: 3,
-                dtlb_inval_flush: 2,
-                tlb_hits: 900,
-                tlb_misses: 11,
-                ..Default::default()
-            },
-        };
-        let j = to_json(std::slice::from_ref(&t));
-        assert!(j.contains("\"sim_throughput\""));
-        assert!(j.contains("\"uop_speedup\": 6.00"));
-        assert!(j.contains("\"uop_over_sb\": 2.00"));
-        assert!(j.contains("\"sb_speedup\": 3.00"));
-        assert!(j.contains("\"sb_over_accel\": 1.50"));
-        assert!(j.contains("\"accel_speedup\": 2.00"));
-        assert!(j.contains("\"uop_promoted\": 1"));
-        assert!(j.contains("\"uop_hits\": 30"));
-        assert!(j.contains("\"uop_invalidations\": 1"));
-        assert!(j.contains("\"blocks_built\": 2"));
-        assert!(j.contains("\"block_invalidations\": 3"));
-        assert!(j.contains("\"block_inval_code_gen\": 1"));
-        assert!(j.contains("\"block_inval_tlb\": 2"));
-        assert!(j.contains("\"dtlb_hits\": 7"));
-        assert!(j.contains("\"dtlb_misses\": 3"));
-        assert!(j.contains("\"dtlb_invalidations\": 2"));
-        assert!(j.contains("\"tlb_hits\": 900"));
-        assert!(j.contains("\"tlb_misses\": 11"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        let md = to_markdown(&[t]);
-        assert!(md.contains("| tight_loop | ~6M | ~3M | ~2M | ~1M | ~2.00× | ~3.0× | ~1.50× |"));
     }
 }

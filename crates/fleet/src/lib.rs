@@ -13,7 +13,8 @@
 //! Three layers ride on it:
 //!
 //! - the NI/refinement suites' episode runner ([`run_indexed`]),
-//! - the bench harness's shard-scaling experiment (`komodo-bench`),
+//! - the service node (`komodo-service`) and the chaos campaigns
+//!   (`komodo-chaos`),
 //! - ad-hoc callers that want typed results from parallel platform
 //!   jobs ([`run`] + [`Fleet::submit`] + [`JobHandle::join`]).
 //!
@@ -25,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod busy;
 mod indexed;
 mod panic_msg;
 mod sched;
 
-pub use busy::thread_busy_ns;
 pub use indexed::run_indexed;
 pub use panic_msg::panic_message;
 pub use sched::{

@@ -62,7 +62,6 @@ use std::time::{Duration, Instant};
 use komodo::{Platform, PlatformConfig};
 use komodo_trace::{FleetMetrics, MetricsSnapshot};
 
-use crate::busy;
 use crate::panic_msg::panic_message;
 
 /// Poison-tolerant lock: a panic on another thread while it held this
@@ -715,7 +714,6 @@ struct ShardState {
     stolen: u64,
     boots: u64,
     resets: u64,
-    busy_ns: u64,
 }
 
 /// The execution context a job receives: identity (shard, index, seed)
@@ -795,10 +793,6 @@ pub struct ShardStats {
     pub boots: u64,
     /// Fast in-place re-boots of the pooled platform.
     pub resets: u64,
-    /// Busy time in nanoseconds: thread CPU time where the host exposes
-    /// it (Linux schedstat), else wall time spent executing jobs (queue
-    /// idle excluded).
-    pub busy_ns: u64,
 }
 
 /// Everything a fleet run produces: the body's return value plus the
@@ -809,7 +803,7 @@ pub struct FleetRun<R> {
     pub value: R,
     /// Per-shard counter snapshots and their aggregate.
     pub metrics: FleetMetrics,
-    /// Per-shard job/boot/busy accounting.
+    /// Per-shard job/boot accounting.
     pub shards: Vec<ShardStats>,
     /// Jobs executed across all shards.
     pub jobs: u64,
@@ -818,12 +812,6 @@ pub struct FleetRun<R> {
 }
 
 impl<R> FleetRun<R> {
-    /// Summed busy nanoseconds across shards — the denominator for
-    /// CPU-normalized throughput.
-    pub fn busy_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.busy_ns).sum()
-    }
-
     /// Jobs dispatched from the claiming worker's own lanes, summed.
     pub fn own_jobs(&self) -> u64 {
         self.shards.iter().map(|s| s.own).sum()
@@ -1000,8 +988,6 @@ impl<'env> Fleet<'_, 'env> {
 }
 
 fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
-    let cpu0 = busy::thread_busy_ns();
-    let mut wall_busy = Duration::ZERO;
     let mut state = ShardState {
         cfg: cfg.platform.clone(),
         recycle: cfg.recycle,
@@ -1012,10 +998,8 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
         stolen: 0,
         boots: 0,
         resets: 0,
-        busy_ns: 0,
     };
     while let Some((job, task, stolen)) = queue.pop(shard) {
-        let t0 = Instant::now();
         let seed = cfg.platform.derive_seed(job);
         let mut ctx = ShardCtx {
             shard,
@@ -1044,15 +1028,7 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
                 state.platform = None;
             }
         }
-        wall_busy += t0.elapsed();
     }
-    // Busy accounting: prefer real thread CPU time (idle condvar waits
-    // don't accrue), fall back to wall time around task execution. The
-    // kernel only folds the running slice into schedstat at scheduler
-    // events, so yield first — otherwise each worker under-reports by
-    // its tail since the last tick, inflating multi-shard efficiency.
-    std::thread::yield_now();
-    state.busy_ns = busy::resolve(cpu0, busy::thread_busy_ns(), wall_busy);
     state
 }
 
@@ -1099,7 +1075,6 @@ pub fn run<'env, R>(cfg: FleetConfig, body: impl FnOnce(&Fleet<'_, 'env>) -> R) 
             stolen: s.stolen,
             boots: s.boots,
             resets: s.resets,
-            busy_ns: s.busy_ns,
         })
         .collect();
     let jobs = shard_stats.iter().map(|s| s.jobs).sum();
@@ -1384,7 +1359,6 @@ mod tests {
             stolen: 0,
             boots: 0,
             resets: 0,
-            busy_ns: 0,
         };
         let mut ctx = ShardCtx {
             shard: 0,

@@ -426,7 +426,7 @@ pub struct ServiceRun<R> {
     pub records: Vec<RequestRecord>,
     /// Folded per-shard machine counters (the fleet metrics surface).
     pub metrics: FleetMetrics,
-    /// Per-shard job/boot/busy accounting.
+    /// Per-shard job/boot accounting.
     pub shards: Vec<ShardStats>,
     /// Wall-clock duration of the whole run.
     pub wall: Duration,
@@ -437,11 +437,6 @@ pub struct ServiceRun<R> {
 }
 
 impl<R> ServiceRun<R> {
-    /// Summed busy nanoseconds across shards.
-    pub fn busy_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.busy_ns).sum()
-    }
-
     /// Builds the aggregate report (latency percentiles, histogram,
     /// folded counters) from this run.
     pub fn report(&self) -> ServiceReport {

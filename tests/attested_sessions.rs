@@ -329,7 +329,8 @@ fn chaos_perturbed_handshake_is_never_accepted() {
 /// 4-shard fleet produces the identical [`AttestedOutcome`] (including
 /// the key digest, so every session derived the same key in both runs)
 /// and identical per-request records. Session count defaults to 128
-/// for routine runs; CI's release-mode bench drives the full 1000.
+/// for routine runs; `KOMODO_ATTESTED_SESSIONS=1000` in a release build
+/// drives a thousand (CI's experiments job does).
 ///
 /// [`AttestedOutcome`]: komodo_service::AttestedOutcome
 #[test]
