@@ -83,7 +83,7 @@ impl Machine {
                 t
             }
             None => {
-                let t = match self.tlb.lookup(va) {
+                let t = match self.tlb.lookup(va, world) {
                     Some(t) => t,
                     None => {
                         self.charge(cost::TLB_WALK);
@@ -94,7 +94,7 @@ impl Machine {
                         self.tlb.note_walk();
                         match ptw::walk(&mut self.mem, ttbr0, va) {
                             Ok(t) => {
-                                self.tlb.insert(va, t);
+                                self.tlb.insert(va, world, t);
                                 t
                             }
                             Err(PtwFault::Translation) => {

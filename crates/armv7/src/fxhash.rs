@@ -7,7 +7,7 @@
 //! multiply-xor scheme used by the Rust compiler's own tables ("FxHash"),
 //! implemented locally because the build is hermetic (no crate registry).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant from the FxHash scheme (64-bit golden ratio).
@@ -73,9 +73,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,13 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_roundtrip() {
+    fn map_roundtrip() {
         let mut m: FxHashMap<u32, u32> = FxHashMap::default();
         m.insert(0x1000, 7);
         assert_eq!(m.get(&0x1000), Some(&7));
-        let mut s: FxHashSet<u32> = FxHashSet::default();
-        s.insert(0x2000);
-        assert!(s.contains(&0x2000));
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub mod fxhash;
 pub mod insn;
 pub mod machine;
 pub mod mem;
+#[cfg(test)]
+mod mem_props;
 pub mod mode;
 pub mod psr;
 pub mod ptw;

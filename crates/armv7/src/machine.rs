@@ -160,18 +160,19 @@ impl Machine {
         }
     }
 
-    /// Returns the machine to its reset state while reusing the physical
-    /// memory allocations — the machine half of the fast re-boot path
-    /// used by platform pooling.
+    /// Returns the machine to its reset state while keeping its memory
+    /// regions — the machine half of the fast re-boot path used by
+    /// platform pooling.
     ///
     /// After `reboot`, every field that participates in machine equality
     /// (registers, PSR, PC, CP15, memory contents and counters, TLB,
     /// cycles, interrupt schedule) matches a fresh [`Machine::new`] whose
     /// memory regions were rebuilt with the same `add_region` calls; the
     /// host-side caches (fetch accelerator, data-TLB) and the flight
-    /// recorder also return to their construction defaults. Only the
-    /// region storage is reused, which is what makes re-boot cheaper than
-    /// reconstruction for large RAM banks.
+    /// recorder also return to their construction defaults. Memory is
+    /// reset by dropping its page frames ([`PhysMem::reset_contents`]), so
+    /// re-boot costs the pages the last job wrote, not the size of the
+    /// RAM banks.
     pub fn reboot(&mut self) {
         self.regs = RegFile::new();
         self.cpsr = Psr::privileged(Mode::Supervisor);

@@ -7,10 +7,18 @@
 //!
 //! The model also counts word accesses, which feeds the monitor's cycle
 //! accounting for Table 3.
+//!
+//! Storage is sparse, so a platform costs the host the pages it has
+//! written rather than the size of its RAM banks: each region is a table
+//! of 4 kB frames, an absent frame reads as zero, and only a store of a
+//! non-zero word allocates one. Equality compares contents, so residency
+//! is invisible to everything but [`PhysMem::resident_pages`].
 
 use crate::error::{MemFault, MemFaultKind};
-use crate::fxhash::FxHashSet;
-use crate::word::{page_aligned, page_base, word_aligned, Addr, Word, WORDS_PER_PAGE, WORD_BYTES};
+use crate::word::{
+    page_aligned, page_base, page_offset, word_aligned, Addr, Word, PAGE_SIZE, WORDS_PER_PAGE,
+    WORD_BYTES,
+};
 
 /// Security attribute of an access, as driven onto the bus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,23 +47,78 @@ impl AccessAttrs {
     };
 }
 
-/// A contiguous RAM region.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One page of RAM contents, allocated on the first non-zero store.
+type Frame = Box<[Word; WORDS_PER_PAGE]>;
+
+/// What every absent frame reads as.
+static ZERO_FRAME: [Word; WORDS_PER_PAGE] = [0; WORDS_PER_PAGE];
+
+fn zero_frame() -> Frame {
+    // Through `vec!` so the allocation is zeroed in place rather than
+    // copied from a 4 kB stack temporary.
+    vec![0; WORDS_PER_PAGE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page of words")
+}
+
+/// A contiguous RAM region, stored one page frame at a time.
+///
+/// Frame `i` holds the physical page `page_base(base) + i * PAGE_SIZE`;
+/// an absent frame reads as zero. Only a non-zero store allocates one, so
+/// a region holds exactly the pages ever written with non-zero data.
+#[derive(Clone, Debug)]
 struct Region {
     base: Addr,
-    words: Vec<Word>,
+    len_bytes: u32,
+    frames: Vec<Option<Frame>>,
+    /// Per-frame code-watch flags (see [`PhysMem::watch_code_page`]).
+    watched: Vec<bool>,
     /// Secure regions are invisible to non-secure accesses.
     secure: bool,
 }
 
 impl Region {
-    fn len_bytes(&self) -> u32 {
-        (self.words.len() as u32) * WORD_BYTES
+    fn contains(&self, addr: Addr) -> bool {
+        addr >= self.base && (addr - self.base) < self.len_bytes
     }
 
-    fn contains(&self, addr: Addr) -> bool {
-        addr >= self.base && (addr - self.base) < self.len_bytes()
+    /// Frame index and word index within the frame of word `addr`.
+    #[inline]
+    fn slot(&self, addr: Addr) -> (usize, usize) {
+        let frame = (page_base(addr) - page_base(self.base)) / PAGE_SIZE;
+        let word = page_offset(addr) / WORD_BYTES;
+        (frame as usize, word as usize)
     }
+
+    #[inline]
+    fn word(&self, addr: Addr) -> Word {
+        let (f, w) = self.slot(addr);
+        self.frames[f].as_ref().map_or(0, |frame| frame[w])
+    }
+}
+
+/// Contents equality: an absent frame equals an all-zero one, so a page
+/// written and then zeroed back equals a page never written.
+impl PartialEq for Region {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base
+            && self.len_bytes == other.len_bytes
+            && self.secure == other.secure
+            && self
+                .frames
+                .iter()
+                .zip(&other.frames)
+                .all(|(a, b)| match (a, b) {
+                    (Some(a), Some(b)) => a == b,
+                    (Some(f), None) | (None, Some(f)) => **f == ZERO_FRAME,
+                    (None, None) => true,
+                })
+    }
+}
+
+fn region_for(regions: &[Region], addr: Addr) -> Option<&Region> {
+    regions.iter().find(|r| r.contains(addr))
 }
 
 /// Physical memory: a set of disjoint RAM regions plus access counters.
@@ -66,10 +129,11 @@ pub struct PhysMem {
     pub reads: u64,
     /// Number of word writes since construction.
     pub writes: u64,
-    /// Page bases whose decoded contents the fetch accelerator holds;
-    /// writes into these bump [`PhysMem::code_gen`]. Host-side state, not
-    /// part of the architectural memory contents.
-    code_watch: FxHashSet<Addr>,
+    /// `(region, frame)` of every page whose decoded contents the fetch
+    /// accelerator holds — the frames whose `watched` flag is set, kept
+    /// so that clearing touches only them. Host-side state, not part of
+    /// the architectural memory contents.
+    watch_list: Vec<(usize, usize)>,
     /// Generation counter bumped by every write into a watched page; the
     /// accelerator compares it to detect stale decoded code.
     code_gen: u64,
@@ -78,7 +142,8 @@ pub struct PhysMem {
 /// Architectural equality: region contents and access counters. The code
 /// watch is host-side accelerator bookkeeping and deliberately excluded —
 /// two machines that executed identically compare equal regardless of
-/// whether the fetch accelerator was on.
+/// whether the fetch accelerator was on. Frame residency is excluded too:
+/// an absent frame equals an all-zero one.
 impl PartialEq for PhysMem {
     fn eq(&self, other: &Self) -> bool {
         self.regions == other.regions && self.reads == other.reads && self.writes == other.writes
@@ -92,12 +157,13 @@ impl PhysMem {
             regions: Vec::new(),
             reads: 0,
             writes: 0,
-            code_watch: FxHashSet::default(),
+            watch_list: Vec::new(),
             code_gen: 0,
         }
     }
 
-    /// Adds a zero-initialised RAM region.
+    /// Adds a zero-initialised RAM region. No page frame is allocated
+    /// until the region is first written with non-zero data.
     ///
     /// # Panics
     ///
@@ -108,70 +174,75 @@ impl PhysMem {
         assert!(word_aligned(base) && word_aligned(size) && size > 0);
         assert!(base.checked_add(size - 1).is_some(), "region overflow");
         for r in &self.regions {
-            let r_end = r.base as u64 + r.len_bytes() as u64;
+            let r_end = r.base as u64 + r.len_bytes as u64;
             let end = base as u64 + size as u64;
             assert!(
                 (base as u64) >= r_end || end <= r.base as u64,
                 "region overlap"
             );
         }
+        let nframes = ((page_base(base + (size - 1)) - page_base(base)) / PAGE_SIZE + 1) as usize;
         self.regions.push(Region {
             base,
-            words: vec![0; (size / WORD_BYTES) as usize],
+            len_bytes: size,
+            frames: vec![None; nframes],
+            watched: vec![false; nframes],
             secure,
         });
     }
 
-    /// Zeroes every region's contents and resets the access counters and
-    /// code watch, keeping the region allocations — the memory half of the
-    /// fast re-boot path. A reset memory is indistinguishable (contents,
-    /// counters, equality) from one freshly built with the same
-    /// [`PhysMem::add_region`] calls; only the host-side allocations are
-    /// reused. The code generation stays monotone so any decode cache
-    /// still holding pre-reset contents observes a bump.
+    /// Zeroes every region's contents by dropping all page frames, and
+    /// resets the access counters and code watch — the memory half of
+    /// the fast re-boot path. A reset memory is indistinguishable
+    /// (contents, counters, equality, resident frames) from one freshly
+    /// built with the same [`PhysMem::add_region`] calls. The code
+    /// generation stays monotone so any decode cache still holding
+    /// pre-reset contents observes a bump.
     pub fn reset_contents(&mut self) {
+        self.clear_code_watch();
         for r in &mut self.regions {
-            r.words.fill(0);
+            r.frames.fill(None);
         }
         self.reads = 0;
         self.writes = 0;
-        self.code_watch.clear();
         self.code_gen = self.code_gen.wrapping_add(1);
+    }
+
+    /// Number of page frames currently allocated across all regions — a
+    /// host-side footprint probe. Architecturally invisible: an absent
+    /// frame reads as zero.
+    pub fn resident_pages(&self) -> usize {
+        self.regions
+            .iter()
+            .map(|r| r.frames.iter().filter(|f| f.is_some()).count())
+            .sum()
     }
 
     /// Whether `addr` lies in a secure region.
     pub fn is_secure(&self, addr: Addr) -> bool {
-        self.regions.iter().any(|r| r.contains(addr) && r.secure)
+        region_for(&self.regions, addr).is_some_and(|r| r.secure)
     }
 
     /// Whether `addr` is backed by RAM at all.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        self.regions.iter().any(|r| r.contains(addr))
-    }
-
-    fn region_for(&self, addr: Addr) -> Option<&Region> {
-        self.regions.iter().find(|r| r.contains(addr))
-    }
-
-    fn region_for_mut(&mut self, addr: Addr) -> Option<&mut Region> {
-        self.regions.iter_mut().find(|r| r.contains(addr))
+        region_for(&self.regions, addr).is_some()
     }
 
     /// Reads the word at physical address `addr` with bus attributes
     /// `attrs`, enforcing TrustZone partitioning.
+    #[inline]
     pub fn read(&mut self, addr: Addr, attrs: AccessAttrs) -> Result<Word, MemFault> {
         if !word_aligned(addr) {
             return Err(MemFault::new(addr, MemFaultKind::Unaligned, false));
         }
-        let r = self
-            .region_for(addr)
-            .ok_or(MemFault::new(addr, MemFaultKind::Unmapped, false))?;
+        let Some(r) = region_for(&self.regions, addr) else {
+            return Err(MemFault::new(addr, MemFaultKind::Unmapped, false));
+        };
         if r.secure && !attrs.secure {
             return Err(MemFault::new(addr, MemFaultKind::SecurityViolation, false));
         }
         self.reads += 1;
-        let r = self.region_for(addr).expect("checked above");
-        Ok(r.words[((addr - r.base) / WORD_BYTES) as usize])
+        Ok(r.word(addr))
     }
 
     /// Observer read: the word at `addr` if word-aligned and RAM-backed,
@@ -183,27 +254,31 @@ impl PhysMem {
         if !word_aligned(addr) {
             return None;
         }
-        let r = self.region_for(addr)?;
-        Some(r.words[((addr - r.base) / WORD_BYTES) as usize])
+        region_for(&self.regions, addr).map(|r| r.word(addr))
     }
 
-    /// Writes the word at physical address `addr`.
+    /// Writes the word at physical address `addr`. Storing zero into an
+    /// absent frame counts, and invalidates decoded code like any other
+    /// store, but allocates nothing.
+    #[inline]
     pub fn write(&mut self, addr: Addr, val: Word, attrs: AccessAttrs) -> Result<(), MemFault> {
         if !word_aligned(addr) {
             return Err(MemFault::new(addr, MemFaultKind::Unaligned, true));
         }
-        let secure_region = match self.region_for(addr) {
-            Some(r) => r.secure,
-            None => return Err(MemFault::new(addr, MemFaultKind::Unmapped, true)),
+        let Some(r) = self.regions.iter_mut().find(|r| r.contains(addr)) else {
+            return Err(MemFault::new(addr, MemFaultKind::Unmapped, true));
         };
-        if secure_region && !attrs.secure {
+        if r.secure && !attrs.secure {
             return Err(MemFault::new(addr, MemFaultKind::SecurityViolation, true));
         }
         self.writes += 1;
-        let r = self.region_for_mut(addr).expect("checked above");
-        let base = r.base;
-        r.words[((addr - base) / WORD_BYTES) as usize] = val;
-        if !self.code_watch.is_empty() && self.code_watch.contains(&page_base(addr)) {
+        let (f, w) = r.slot(addr);
+        match &mut r.frames[f] {
+            Some(frame) => frame[w] = val,
+            absent if val != 0 => absent.insert(zero_frame())[w] = val,
+            None => {}
+        }
+        if r.watched[f] {
             self.code_gen = self.code_gen.wrapping_add(1);
         }
         Ok(())
@@ -220,16 +295,30 @@ impl PhysMem {
 
     /// Registers the page at `page` (a page base) for write monitoring on
     /// behalf of the fetch accelerator: any subsequent write into it bumps
-    /// [`PhysMem::code_gen`].
+    /// [`PhysMem::code_gen`]. The page must be one
+    /// [`PhysMem::code_page_snapshot`] served, so it lies wholly inside one
+    /// region and one frame.
     pub(crate) fn watch_code_page(&mut self, page: Addr) {
-        debug_assert!(page_aligned(page));
-        self.code_watch.insert(page);
+        debug_assert!(self.code_page_snapshot(page).is_some());
+        let ri = self
+            .regions
+            .iter()
+            .position(|r| r.contains(page))
+            .expect("a snapshotted page is RAM-backed");
+        let r = &mut self.regions[ri];
+        let (f, _) = r.slot(page);
+        if !r.watched[f] {
+            r.watched[f] = true;
+            self.watch_list.push((ri, f));
+        }
     }
 
     /// Drops all watched pages (the accelerator has dropped its copies).
     /// The generation counter is left monotone.
     pub(crate) fn clear_code_watch(&mut self) {
-        self.code_watch.clear();
+        for (ri, f) in self.watch_list.drain(..) {
+            self.regions[ri].watched[f] = false;
+        }
     }
 
     /// Current code-page write generation (see [`PhysMem::watch_code_page`]).
@@ -239,18 +328,21 @@ impl PhysMem {
     }
 
     /// Raw snapshot of one fully-RAM-backed page for decode-cache fill:
-    /// the page's words and whether its region is secure. Bypasses the
-    /// access counters and attribute checks — callers must re-impose both
-    /// (the accelerator does) to stay architecturally invisible.
+    /// the page's words and whether its region is secure. An absent frame
+    /// is served from one static zero page. Bypasses the access counters
+    /// and attribute checks — callers must re-impose both (the accelerator
+    /// does) to stay architecturally invisible.
     pub(crate) fn code_page_snapshot(&self, page: Addr) -> Option<(&[Word], bool)> {
         debug_assert!(page_aligned(page));
-        let r = self.region_for(page)?;
-        let start = ((page - r.base) / WORD_BYTES) as usize;
-        let end = start + WORDS_PER_PAGE;
-        if end > r.words.len() {
+        let r = region_for(&self.regions, page)?;
+        if r.len_bytes - (page - r.base) < PAGE_SIZE {
             return None; // Page straddles the region end; stay uncached.
         }
-        Some((&r.words[start..end], r.secure))
+        let words = match &r.frames[r.slot(page).0] {
+            Some(frame) => &frame[..],
+            None => &ZERO_FRAME[..],
+        };
+        Some((words, r.secure))
     }
 
     /// Reads a byte (for guest `LDRB`); the containing word is read and the
@@ -423,6 +515,62 @@ mod tests {
         assert_eq!(m.peek(0x1002), None, "unaligned");
         assert_eq!(m.peek(0x4000_0000), None, "unmapped");
         assert_eq!((m.reads, m.writes), (r0, w0), "peek must not count");
+    }
+
+    #[test]
+    fn only_non_zero_stores_allocate_frames() {
+        let mut m = mem();
+        assert_eq!(m.resident_pages(), 0, "regions start with no frames");
+        m.write(0x1000, 0, AccessAttrs::NORMAL).unwrap();
+        m.write_byte(0x8000_0003, 0, AccessAttrs::MONITOR).unwrap();
+        assert_eq!(m.resident_pages(), 0, "zero stores allocate nothing");
+        assert_eq!(m.writes, 2, "but they count");
+        m.write(0x1ffc, 5, AccessAttrs::NORMAL).unwrap();
+        m.write(0x1000, 6, AccessAttrs::NORMAL).unwrap(); // Same frame.
+        m.write_byte(0x8000_2001, 7, AccessAttrs::MONITOR).unwrap();
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.peek(0x1ffc), Some(5));
+        assert_eq!(m.peek(0x8000_2000), Some(0x700));
+        assert_eq!(m.peek(0x8000_3000), Some(0), "absent frames read zero");
+        m.reset_contents();
+        assert_eq!(m.resident_pages(), 0, "reset drops every frame");
+        assert_eq!(m.peek(0x1ffc), Some(0));
+        assert_eq!(m, mem(), "a reset memory equals a fresh one");
+    }
+
+    #[test]
+    fn watched_absent_frame_bumps_on_zero_and_non_zero_stores() {
+        let mut m = mem();
+        let (words, _) = m.code_page_snapshot(0x2000).unwrap();
+        assert!(words.iter().all(|&w| w == 0), "served from the zero page");
+        m.watch_code_page(0x2000);
+        m.write(0x2000, 0, AccessAttrs::NORMAL).unwrap();
+        assert_eq!((m.code_gen(), m.resident_pages()), (1, 0));
+        m.write(0x2004, 3, AccessAttrs::NORMAL).unwrap();
+        assert_eq!((m.code_gen(), m.resident_pages()), (2, 1));
+        m.reset_contents();
+        assert_eq!(m.code_gen(), 3, "reset keeps the generation monotone");
+        m.write(0x2004, 3, AccessAttrs::NORMAL).unwrap();
+        assert_eq!(m.code_gen(), 3, "reset clears the watch");
+    }
+
+    #[test]
+    fn unaligned_region_frames_follow_physical_pages() {
+        // A region may start and end mid-page: its frames still cover
+        // whole physical pages, and only a wholly-covered page snapshots.
+        let mut m = PhysMem::new();
+        m.add_region(0x4000_0800, 0x2000, false); // ..0x4000_2800.
+        m.write(0x4000_0ffc, 1, AccessAttrs::NORMAL).unwrap();
+        m.write(0x4000_1000, 2, AccessAttrs::NORMAL).unwrap();
+        m.write(0x4000_27fc, 3, AccessAttrs::NORMAL).unwrap();
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.dump_words(0x4000_0ffc, 2).unwrap(), vec![1, 2]);
+        assert_eq!(m.peek(0x4000_27fc), Some(3));
+        assert_eq!(m.peek(0x4000_2800), None);
+        assert_eq!(m.peek(0x4000_07fc), None);
+        assert!(m.code_page_snapshot(0x4000_0000).is_none());
+        assert_eq!(m.code_page_snapshot(0x4000_1000).unwrap().0[0], 2);
+        assert!(m.code_page_snapshot(0x4000_2000).is_none());
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //! Besides the consistency bit, the model keeps a translation cache so that
 //! repeated accesses to the same page cost less than a full walk — the
 //! basis for the TLB-flush-avoidance ablation in the evaluation.
+//!
+//! Entries are tagged with the security world that walked them, as
+//! TrustZone TLBs tag entries with the NS bit: a translation the normal
+//! world's tables produced never serves a secure-world lookup of the same
+//! virtual page, or the reverse. Without the tag, a monitor that elides
+//! the flush on re-entering the same enclave would run it through a
+//! native process's translations.
 
 use crate::fxhash::FxHashMap;
+use crate::mode::World;
 use crate::ptw::Translation;
-use crate::word::Addr;
+use crate::word::{page_base, Addr};
 
-/// The TLB: a consistency flag plus a per-virtual-page translation cache.
+/// The TLB: a consistency flag plus a per-(virtual page, world)
+/// translation cache.
 ///
 /// The entries map sits on the per-instruction fetch path, so it uses the
 /// local FxHash hasher rather than `std`'s keyed SipHash (the keys are
@@ -24,6 +33,7 @@ use crate::word::Addr;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tlb {
     consistent: bool,
+    /// Keyed by [`entry_key`]: page base and world in one word.
     entries: FxHashMap<Addr, Translation>,
     /// Walks performed (misses); cycle-model input.
     pub misses: u64,
@@ -62,9 +72,9 @@ impl Tlb {
         self.flushes += 1;
     }
 
-    /// Looks up the translation for the page containing `va`.
-    pub fn lookup(&mut self, va: Addr) -> Option<Translation> {
-        let hit = self.entries.get(&(va & !0xfff)).copied();
+    /// Looks up `world`'s translation for the page containing `va`.
+    pub fn lookup(&mut self, va: Addr, world: World) -> Option<Translation> {
+        let hit = self.entries.get(&entry_key(va, world)).copied();
         if hit.is_some() {
             self.hits += 1;
         }
@@ -89,17 +99,17 @@ impl Tlb {
         self.misses += 1;
     }
 
-    /// Inserts a walked translation for the page containing `va`.
+    /// Inserts a translation `world` walked for the page containing `va`.
     ///
     /// Does **not** count the miss; the walk site calls [`Tlb::note_walk`]
     /// whether or not the walk succeeds.
-    pub fn insert(&mut self, va: Addr, t: Translation) {
+    pub fn insert(&mut self, va: Addr, world: World, t: Translation) {
         // Cache the page-base translation (strip the offset `walk` added).
         let page_t = Translation {
-            pa: t.pa & !0xfff,
+            pa: page_base(t.pa),
             ..t
         };
-        self.entries.insert(va & !0xfff, page_t);
+        self.entries.insert(entry_key(va, world), page_t);
     }
 
     /// Number of cached translations.
@@ -117,6 +127,14 @@ impl Default for Tlb {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The entries-map key of `va`'s page in `world`: the page base with the
+/// world in bit 0, which a page-aligned address leaves free — so tagging
+/// costs neither key width nor hashing.
+#[inline]
+fn entry_key(va: Addr, world: World) -> Addr {
+    page_base(va) | (world == World::Normal) as Addr
 }
 
 #[cfg(test)]
@@ -152,10 +170,10 @@ mod tests {
     #[test]
     fn lookup_after_insert() {
         let mut tlb = Tlb::new();
-        assert_eq!(tlb.lookup(0x1234), None);
+        assert_eq!(tlb.lookup(0x1234, World::Secure), None);
         tlb.note_walk(); // The walk site counts the miss...
-        tlb.insert(0x1234, t(0x8000_1234)); // ...insert does not.
-        let hit = tlb.lookup(0x1678).unwrap(); // Same page.
+        tlb.insert(0x1234, World::Secure, t(0x8000_1234)); // ...insert does not.
+        let hit = tlb.lookup(0x1678, World::Secure).unwrap(); // Same page.
         assert_eq!(hit.pa, 0x8000_1000);
         assert_eq!(tlb.hits, 1);
         assert_eq!(tlb.misses, 1);
@@ -177,11 +195,11 @@ mod tests {
         // per-instruction path issuing the same number of lookups.
         let mut batched = Tlb::new();
         let mut stepped = Tlb::new();
-        batched.insert(0x1000, t(0x2000));
-        stepped.insert(0x1000, t(0x2000));
+        batched.insert(0x1000, World::Secure, t(0x2000));
+        stepped.insert(0x1000, World::Secure, t(0x2000));
         batched.note_hits(5);
         for _ in 0..5 {
-            stepped.lookup(0x1000).unwrap();
+            stepped.lookup(0x1000, World::Secure).unwrap();
         }
         assert_eq!(batched.hits, stepped.hits);
         assert_eq!(batched.misses, stepped.misses);
@@ -190,8 +208,22 @@ mod tests {
     #[test]
     fn flush_clears_entries() {
         let mut tlb = Tlb::new();
-        tlb.insert(0x1000, t(0x2000));
+        tlb.insert(0x1000, World::Secure, t(0x2000));
         tlb.flush();
-        assert_eq!(tlb.lookup(0x1000), None);
+        assert_eq!(tlb.lookup(0x1000, World::Secure), None);
+    }
+
+    #[test]
+    fn entries_never_serve_the_other_world() {
+        // A native process's translation of a VA must not serve an
+        // enclave's lookup of the same VA (or the reverse), flush or not.
+        let mut tlb = Tlb::new();
+        tlb.insert(0x8000, World::Normal, t(0x0004_2000));
+        assert_eq!(tlb.lookup(0x8123, World::Secure), None);
+        assert_eq!(tlb.hits, 0, "a cross-world probe is not a hit");
+        tlb.insert(0x8000, World::Secure, t(0x8001_0000));
+        assert_eq!(tlb.lookup(0x8123, World::Secure).unwrap().pa, 0x8001_0000);
+        assert_eq!(tlb.lookup(0x8123, World::Normal).unwrap().pa, 0x0004_2000);
+        assert_eq!(tlb.len(), 2, "one entry per world");
     }
 }

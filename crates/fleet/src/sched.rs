@@ -85,9 +85,9 @@ fn wait_unpoisoned<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Recycle {
     /// Keep the platform and fast re-boot it in place for the next job
-    /// ([`Platform::reset_with_seed`]): RAM allocations are reused, and
-    /// the reset is verified bit-for-bit equal to a fresh boot. The
-    /// default.
+    /// ([`Platform::reset_with_seed`]): the reset frees the RAM pages the
+    /// last job wrote and is verified bit-for-bit equal to a fresh boot.
+    /// The default.
     Reboot,
     /// Drop the platform after every job and construct a fresh one for
     /// the next: the slow path, kept as the oracle the reboot path is

@@ -121,18 +121,20 @@ impl Platform {
     /// recycling path for platform pooling. Every architectural field
     /// ends bit-for-bit equal to a fresh [`Platform::with_config`] with
     /// the same parameters — memory contents, counters, cycle charge,
-    /// attestation key — but the RAM allocations are reused instead of
-    /// reallocated, which is what makes a pooled platform cheaper than
-    /// constructing one per job. Host-side caches and the flight
-    /// recorder return to their construction defaults (re-arm with
-    /// [`Platform::set_trace`] if needed).
+    /// attestation key. RAM is sparse (see [`komodo_armv7::PhysMem`]):
+    /// the reset drops the page frames the last job wrote and leaves
+    /// none resident, as a fresh boot does. Host-side caches and the
+    /// flight recorder return to their construction defaults (re-arm
+    /// with [`Platform::set_trace`] if needed).
     pub fn reset(&mut self) {
         self.reset_with_seed(self.config.seed);
     }
 
     /// [`Platform::reset`] with a new hardware-RNG seed — how a fleet
     /// shard recycles one platform across jobs that each need their own
-    /// deterministic seed (see [`PlatformConfig::derive_seed`]).
+    /// deterministic seed (see [`PlatformConfig::derive_seed`]). Like
+    /// [`Platform::reset`], it frees the written page frames rather than
+    /// zero-filling the RAM banks.
     pub fn reset_with_seed(&mut self, seed: u64) {
         self.config.seed = seed;
         let layout = MonitorLayout::new(self.config.insecure_size, self.config.npages);
@@ -366,7 +368,9 @@ mod tests {
         let e = p.load(&progs::adder()).unwrap();
         assert_eq!(p.run(&e, 0, [40, 2, 0]), EnclaveRun::Exited(42));
         p.destroy(&e).unwrap();
+        assert!(p.machine.mem.resident_pages() > 0);
         p.reset();
+        assert_eq!(p.machine.mem.resident_pages(), 0, "reset frees every frame");
         let fresh = Platform::with_config(cfg);
         assert!(
             p.machine == fresh.machine,

@@ -37,11 +37,11 @@ pub fn boot(layout: MonitorLayout, seed: u64) -> (Machine, Monitor) {
 
 /// Re-boots an already-constructed machine in place: the fast pooling
 /// path. The machine's memory regions must have been built for `layout`
-/// (by a prior [`boot`] / [`MonitorLayout::build_memory`]); they are
-/// zeroed and reused rather than reallocated, and every architectural
-/// field ends bit-for-bit equal to a fresh [`boot`] with the same
-/// arguments — same boot-cost charge, same world switch, same
-/// seed-derived attestation key.
+/// (by a prior [`boot`] / [`MonitorLayout::build_memory`]); they are kept
+/// and their written page frames dropped, and every architectural field
+/// ends bit-for-bit equal to a fresh [`boot`] with the same arguments —
+/// same boot-cost charge, same world switch, same seed-derived
+/// attestation key.
 pub fn reboot(m: &mut Machine, layout: MonitorLayout, seed: u64) -> Monitor {
     debug_assert!(
         m.mem.is_mapped(layout.monitor_base) && m.mem.is_mapped(layout.page_pa(0)),

@@ -4,12 +4,14 @@
 //! closed), the equal-keys property over randomized drives, and the
 //! shard-count invariance of a large concurrent handshake wave.
 
+use komodo::Platform;
 use komodo_crypto::{
     device_attest_key, kdf, Digest, Quote, Verifier, VerifierSession, VerifyError,
 };
+use komodo_service::protocol::Attested;
 use komodo_service::{
-    drive_attested, AttestedClient, QuoteWords, Request, Response, Service, ServiceConfig,
-    ServiceError, ServiceHandle,
+    drive_attested, AttestedClient, Protocol, QuoteWords, Request, Response, Service,
+    ServiceConfig, ServiceError, ServiceHandle,
 };
 use komodo_spec::seed::derive_stream;
 use proptest::strategy::Strategy;
@@ -54,6 +56,27 @@ fn begin_raw(
     };
     let device = device_attest_key(derive_stream(base_seed, begin_req));
     (session, vs, device, to_quote(&quote))
+}
+
+/// A session platform's host memory is the pages it wrote, not its RAM
+/// size: the service config's 784-page platform boots with no page frame
+/// resident, holds a handful once the RA enclave is loaded and has run
+/// its half of the handshake, and frees them all on reset. Counts only
+/// frames, so it pins the footprint without timing anything.
+#[test]
+fn session_platform_holds_only_written_pages() {
+    let mut p = Platform::with_config(ServiceConfig::default().platform);
+    assert_eq!(p.machine.mem.resident_pages(), 0, "after boot");
+    let e = p.load(&Attested::image()).unwrap();
+    let vs = VerifierSession::new([0x5e55_1011; 4], 0xabcd, 0x1234);
+    Attested::begin(&mut p, &e, 1, &[0x5e55_1011; 4], vs.share).unwrap();
+    let resident = p.machine.mem.resident_pages();
+    assert!(
+        (1..=16).contains(&resident),
+        "{resident} frames after the RA load and begin"
+    );
+    p.reset();
+    assert_eq!(p.machine.mem.resident_pages(), 0, "after reset");
 }
 
 /// Satellite: forged-quote rejection, end to end — a genuine quote from

@@ -307,11 +307,9 @@ fn segments_spanning_l1_slots() {
 #[test]
 fn native_process_isolated_from_enclave() {
     // A native process and an enclave coexist; the process cannot see the
-    // enclave's pages, the enclave runs unaffected.
-    let mut p = platform();
-    let e = p.load(&progs::secret_keeper()).unwrap();
-    p.run(&e, 0, [0, 0xfeed, 0]);
-    let np = p.load_native(&progs::adder());
+    // enclave's pages, the enclave runs unaffected. With the §8.1 flush
+    // elision on, the enclave re-enters without a TLB flush, so the TLB
+    // itself must keep the process's translations out of the enclave's.
     struct ExitOnly;
     impl komodo_os::native::Syscalls for ExitOnly {
         fn handle(&mut self, m: &mut komodo::Machine, _: &komodo::Os) -> Option<u32> {
@@ -319,9 +317,20 @@ fn native_process_isolated_from_enclave() {
             (m.reg(Reg::R(0)) == 0).then(|| m.reg(Reg::R(1)))
         }
     }
-    let r = np.run(&mut p.machine, &p.os, &mut ExitOnly, [1, 2, 0], 100_000);
-    assert_eq!(r, komodo_os::native::NativeRun::Exited(3));
-    assert_eq!(p.run(&e, 0, [1, 0, 0]), EnclaveRun::Exited(0xfeed));
+    for always_flush_tlb in [true, false] {
+        let mut p = platform();
+        p.monitor.always_flush_tlb = always_flush_tlb;
+        let e = p.load(&progs::secret_keeper()).unwrap();
+        p.run(&e, 0, [0, 0xfeed, 0]);
+        let np = p.load_native(&progs::adder());
+        let r = np.run(&mut p.machine, &p.os, &mut ExitOnly, [1, 2, 0], 100_000);
+        assert_eq!(r, komodo_os::native::NativeRun::Exited(3));
+        assert_eq!(
+            p.run(&e, 0, [1, 0, 0]),
+            EnclaveRun::Exited(0xfeed),
+            "always_flush_tlb = {always_flush_tlb}"
+        );
+    }
 }
 
 #[test]
