@@ -30,8 +30,10 @@
 //!
 //! Invalidation: filling a page registers it with [`PhysMem`]'s code
 //! watch; any write into a watched page bumps a generation counter that
-//! the next fetch observes, dropping the whole cache. `Machine` also
-//! drops it on `tlb_flush`, `load_ttbr0` and `note_pagetable_store`.
+//! the next fetch observes, dropping the whole cache. A `tlb_flush`,
+//! `load_ttbr0` or `note_pagetable_store` drops only the translation
+//! entry: decoded pages are keyed by physical page, so a changed mapping
+//! cannot make one stale (see *Code cache across enclave entries*).
 //!
 //! # Superblocks
 //!
@@ -43,18 +45,52 @@
 //! the software data-TLB ([`crate::dtlb::DataTlb`]) hit path, with any
 //! hazard stopping the block at an exactly-retired prefix. A trace is
 //! validated **once** at entry (`(VA page, world, TTBR0, generation,
-//! alignment)` — the same facts the per-instruction hot path re-checks
-//! every step) and then executed in a tight loop by `Machine::run_user`,
-//! with the TLB-hit / memory-read / cycle accounting batched per block so
-//! the architecturally visible counters stay bit-for-bit identical to
-//! per-instruction stepping (see `Block` for the admission rules that
-//! make this sound). Blocks chain:
-//! each records the block id its fall-through and taken-branch exits last
-//! dispatched to, so steady-state loops skip even the hash probe.
-//! Invalidation rides the existing generation mechanism — a bumped
-//! generation (guest store, `mon_write`, page-table store) or an
-//! accelerator-wide invalidation (`tlb_flush`, `load_ttbr0`) kills every
-//! block along with the decoded pages they were built from.
+//! translation epoch, alignment)` — the same facts the per-instruction
+//! hot path re-checks every step) and then executed in a tight loop by
+//! `Machine::run_user`, with the TLB-hit / memory-read / cycle accounting
+//! batched per block so the architecturally visible counters stay
+//! bit-for-bit identical to per-instruction stepping (see `Block` for the
+//! admission rules that make this sound). Blocks chain: each records the
+//! block id its fall-through and taken-branch exits last dispatched to,
+//! so steady-state loops skip even the hash probe. Invalidation rides the
+//! existing generation mechanism — a bumped generation (guest store or
+//! `mon_write` into a watched code page) kills every block along with the
+//! decoded pages they were built from.
+//!
+//! # Code cache across enclave entries
+//!
+//! A TLB flush, a `TTBR0` load and a page-table store each end a
+//! **translation epoch**. They drop only what stands for TLB residency —
+//! the translation entry, the fused hot-fetch entry and the data-TLB —
+//! and keep decoded pages and blocks, so an enclave re-entered after the
+//! monitor's flush runs the blocks and micro-op traces it compiled on its
+//! previous entry. A block built or confirmed in an earlier epoch runs
+//! again only once it is confirmed in the current one:
+//!
+//! - the per-instruction path must first have fetched from the block's VA
+//!   page in this epoch, through `translate_user` (the hot-fetch entry is
+//!   the proof). That fetch charged the TLB miss and walk exactly as
+//!   without the cache, and left the translation in the TLB, which
+//!   entitles the block to account its fetches as hits until the epoch
+//!   ends;
+//! - that fetch must have resolved to the physical page and bus
+//!   attributes the block was decoded under, with the block's world and
+//!   `TTBR0`. Otherwise the VA page now maps elsewhere, and a fresh block
+//!   is built in its slot.
+//!
+//! Until both hold the dispatcher stays on the per-instruction path; it
+//! never builds over a block that is merely unconfirmed. Confirming a
+//! block resets its micro-op trace's per-site data translations, which
+//! were formed in an earlier epoch, and the micro-op runner hops only
+//! into blocks confirmed in the current epoch. The decoded page a block
+//! came from stays cached, and so stays under the code write-watch, for
+//! as long as the block lives.
+//!
+//! Footprint: when a secure-world run returns to the normal world,
+//! `FetchAccel::trim` keeps only the blocks and decoded pages used since
+//! that run began, so a platform at rest holds one run's working set. The
+//! toggles (`Machine::set_fetch_accel`, `set_superblocks`, `set_uops`)
+//! still drop everything.
 
 use crate::decode::decode;
 use crate::fxhash::FxHashMap;
@@ -69,9 +105,15 @@ use komodo_trace::{Event, FlightRecorder, InvalCause};
 /// One physical code page, eagerly decoded.
 #[derive(Clone, Debug)]
 struct CachedPage {
+    /// Physical page base: the cache key, kept so a trim can rebuild the
+    /// index and the code watch.
+    base: Addr,
     /// Whether the backing region is secure (for the bus-attribute check a
     /// real fetch would perform).
     secure: bool,
+    /// The last translation epoch a fetch was served from this page in
+    /// (what `FetchAccel::trim` keeps pages by).
+    epoch: u64,
     /// `(word, decoded, condition)` per word of the page; the raw word is
     /// kept because exception paths report it (`ExitReason::Undefined`),
     /// and the condition field is pre-extracted so the hot path skips the
@@ -108,9 +150,10 @@ impl DecodeCache {
         self.last = None;
     }
 
-    /// Decodes and caches the page at `base`; `None` if the page is not
-    /// fully RAM-backed (such fetches stay on the uncached path).
-    fn fill(&mut self, mem: &mut PhysMem, base: Addr) -> Option<usize> {
+    /// Decodes and caches the page at `base` in translation epoch `epoch`;
+    /// `None` if the page is not fully RAM-backed (such fetches stay on
+    /// the uncached path).
+    fn fill(&mut self, mem: &mut PhysMem, base: Addr, epoch: u64) -> Option<usize> {
         let (words, secure) = mem.code_page_snapshot(base)?;
         let entries: Box<[(Word, Insn, Cond)]> = words
             .iter()
@@ -122,7 +165,12 @@ impl DecodeCache {
             .collect();
         mem.watch_code_page(base);
         let idx = self.pages.len();
-        self.pages.push(CachedPage { secure, entries });
+        self.pages.push(CachedPage {
+            base,
+            secure,
+            epoch,
+            entries,
+        });
         self.index.insert(base, idx);
         self.last = Some((base, idx));
         Some(idx)
@@ -134,13 +182,18 @@ impl DecodeCache {
 /// single compare chain per step. Only formed after the page's secure
 /// attribute admitted the translation's bus attributes; a hit replays the
 /// identical translation, so that check's outcome is unchanged and no
-/// fault the uncached path would raise can be masked.
+/// fault the uncached path would raise can be masked. Dropped at every
+/// translation-epoch change, so a present entry also proves that the
+/// per-instruction path translated its VA page in the current epoch.
 #[derive(Clone, Copy, Debug)]
 struct HotFetch {
     va_page: Addr,
     world: World,
     ttbr0: Addr,
     idx: usize,
+    /// The physical page and bus attributes the translation resolved to.
+    pa_page: Addr,
+    attrs: AccessAttrs,
 }
 
 /// How a superblock's straight-line body ends.
@@ -198,6 +251,14 @@ pub(crate) struct Block {
     pub(crate) entry_va: Addr,
     pub(crate) world: World,
     pub(crate) ttbr0: Addr,
+    /// The physical page the body was decoded from, and the bus
+    /// attributes its fetch carried: what a later epoch's translation of
+    /// the entry page must resolve to again before the block may run.
+    pub(crate) pa_page: Addr,
+    pub(crate) attrs: AccessAttrs,
+    /// The translation epoch the block was built or last confirmed in. It
+    /// runs (by dispatch or by a linked hop) only in that epoch.
+    pub(crate) epoch: u64,
     /// The straight-line body (condition fields pre-extracted).
     pub(crate) body: Box<[(Insn, Cond)]>,
     /// How the trace ends.
@@ -214,12 +275,14 @@ pub(crate) struct Block {
     /// dispatcher, or by the micro-op runner before it hops), so a stale
     /// link costs a hash probe, never correctness.
     pub(crate) succ: [Option<u32>; 2],
-    /// Dispatch hits since the block was built; crossing the promotion
-    /// threshold triggers one-time micro-op specialisation.
+    /// Dispatch hits since the block was built or last confirmed in a new
+    /// epoch; crossing the promotion threshold triggers one-time micro-op
+    /// specialisation.
     pub(crate) hot: u64,
-    /// The specialised micro-op trace, once promoted. Dies with the
-    /// block on every invalidation, so it needs no re-validation beyond
-    /// the block's own.
+    /// The specialised micro-op trace, once promoted. Lives as long as
+    /// the block, across translation epochs; confirming the block in a
+    /// new epoch resets the trace's per-site data translations, so it
+    /// needs no re-validation beyond the block's own.
     pub(crate) uop: Option<Box<UopTrace>>,
 }
 
@@ -245,11 +308,16 @@ pub struct SbStats {
     pub hits: u64,
     /// Dispatches resolved through a successor link, skipping the probe.
     pub chained: u64,
+    /// Blocks kept from an earlier translation epoch and confirmed in the
+    /// current one (each also counts as a dispatch hit in `hits`).
+    pub revalidated: u64,
     /// Whole-cache invalidations caused by a code-generation bump (a store
     /// — guest, monitor, or in-block — landed in a watched code page).
     pub inval_code_gen: u64,
-    /// Whole-cache invalidations driven by the TLB machinery (`tlb_flush`,
-    /// `load_ttbr0`, page-table stores) or an accelerator toggle.
+    /// Whole-cache invalidations caused by an accelerator toggle. The TLB
+    /// machinery (`tlb_flush`, `load_ttbr0`, page-table stores) no longer
+    /// drops blocks: it starts a new translation epoch, in which kept
+    /// blocks are confirmed before they run.
     pub inval_tlb: u64,
     /// Data-TLB lookups served (from [`crate::dtlb::DataTlb`], merged in
     /// by [`crate::Machine::superblock_stats`]).
@@ -271,7 +339,8 @@ pub struct SbStats {
     /// `uop_hits`, exactly as the dispatch it replaces would have.
     pub uop_linked: u64,
     /// Whole-cache invalidations that dropped at least one specialised
-    /// trace (micro-op traces die with their superblocks).
+    /// trace (micro-op traces die with their superblocks, which a
+    /// translation-epoch change does not drop).
     pub uop_invalidations: u64,
 }
 
@@ -287,9 +356,8 @@ impl SbStats {
 pub(crate) enum SbInvalCause {
     /// The code generation moved: some store hit a watched code page.
     CodeGen,
-    /// TLB/TTBR-driven (`tlb_flush`, `load_ttbr0`, page-table store) or an
-    /// accelerator toggle.
-    Tlb,
+    /// An accelerator toggle (counted in [`SbStats::inval_tlb`]).
+    Toggle,
 }
 
 /// The block cache (see the module docs' *Superblocks* section).
@@ -297,7 +365,8 @@ pub(crate) enum SbInvalCause {
 struct SbCache {
     blocks: Vec<Block>,
     /// Entry VA → block id (or [`NO_BLOCK`]). Keyed by VA alone; the
-    /// block's recorded world/`TTBR0` are validated on every hit.
+    /// block's recorded world/`TTBR0` and epoch are validated on every
+    /// hit, and a block rebuilt at the same VA reuses the old one's slot.
     index: FxHashMap<Addr, u32>,
     /// Snapshot of `PhysMem::code_gen` the blocks were built under.
     gen: u64,
@@ -317,6 +386,12 @@ pub struct FetchAccel {
     dcache: DecodeCache,
     fetch_tc: Option<FetchEntry>,
     hot: Option<HotFetch>,
+    /// The current translation epoch (see the module docs' *Code cache
+    /// across enclave entries*).
+    epoch: u64,
+    /// The epoch the first secure-world run since the last trim began in;
+    /// `None` when no such run has happened, which makes a trim a no-op.
+    trim_from: Option<u64>,
     /// Whether the superblock engine runs on top of the decode cache.
     sb_enabled: bool,
     /// Whether hot superblocks are promoted to micro-op traces.
@@ -338,6 +413,8 @@ impl FetchAccel {
             dcache: DecodeCache::default(),
             fetch_tc: None,
             hot: None,
+            epoch: 0,
+            trim_from: None,
             sb_enabled: true,
             uop_enabled: true,
             uop_threshold: DEFAULT_UOP_THRESHOLD,
@@ -359,14 +436,107 @@ impl FetchAccel {
     }
 
     /// Drops every cached page, the translation entry, and all
-    /// superblocks (a TLB/TTBR-driven or toggle invalidation; generation
-    /// bumps are detected lazily in `FetchAccel::sb_dispatch` and
-    /// `FetchAccel::fetch`).
+    /// superblocks (a toggle invalidation; generation bumps are detected
+    /// lazily in `FetchAccel::sb_dispatch` and `FetchAccel::fetch`, and a
+    /// TLB flush only starts a new epoch, see `FetchAccel::new_epoch`).
     pub fn invalidate(&mut self) {
         self.dcache.clear();
         self.fetch_tc = None;
         self.hot = None;
-        self.sb_invalidate(SbInvalCause::Tlb);
+        self.sb_invalidate(SbInvalCause::Toggle);
+    }
+
+    /// Starts a new translation epoch, as a TLB flush, `TTBR0` load or
+    /// page-table store does: drops the translation entry and the fused
+    /// hot-fetch entry, whose validity rests on TLB residency, and keeps
+    /// decoded pages and blocks. Kept blocks run again once confirmed in
+    /// the new epoch (see [`FetchAccel::sb_dispatch`]).
+    pub(crate) fn new_epoch(&mut self) {
+        self.fetch_tc = None;
+        self.hot = None;
+        self.epoch += 1;
+    }
+
+    /// Notes that a secure-world run is starting, so the next trim keeps
+    /// what was used from this epoch on.
+    pub(crate) fn note_secure_run(&mut self) {
+        self.trim_from.get_or_insert(self.epoch);
+    }
+
+    /// Keeps only the blocks and decoded pages used since the first
+    /// secure-world run after the previous trim: blocks built or
+    /// confirmed from that run's starting epoch on, and pages served
+    /// since then or backing a kept block. When anything is dropped, links
+    /// are remapped, the block or page index is rebuilt (a rebuilt block
+    /// index forgets its [`NO_BLOCK`] memos), the storage shrunk to the
+    /// kept set, and the code watch narrowed to the kept pages. `Machine`
+    /// calls it when a run returns to the normal world; without a secure
+    /// run since the last trim it does nothing, so it runs once per run
+    /// however many world switches follow.
+    ///
+    /// Under the default monitor every entry flushes the TLB, so the run
+    /// began in a fresh epoch and exactly its working set is kept. When
+    /// an entry skips the flush (the §8.1 knob), blocks confirmed in the
+    /// shared epoch before the run are kept too, until an epoch passes.
+    pub(crate) fn trim(&mut self, mem: &mut PhysMem) {
+        let Some(from) = self.trim_from.take() else {
+            return;
+        };
+        if self.sb.blocks.iter().any(|b| b.epoch < from) {
+            let mut kept = 0u32;
+            let remap: Vec<u32> = self
+                .sb
+                .blocks
+                .iter()
+                .map(|b| {
+                    if b.epoch < from {
+                        return NO_BLOCK;
+                    }
+                    kept += 1;
+                    kept - 1
+                })
+                .collect();
+            let mut ids = remap.iter();
+            self.sb
+                .blocks
+                .retain(|_| ids.next().is_some_and(|&n| n != NO_BLOCK));
+            for b in &mut self.sb.blocks {
+                for s in &mut b.succ {
+                    *s = s.map(|t| remap[t as usize]).filter(|&n| n != NO_BLOCK);
+                }
+            }
+            // At rest a platform holds the kept set, not the capacity the
+            // largest run grew the cache to.
+            self.sb.blocks.shrink_to_fit();
+            self.sb.index.clear();
+            for (id, b) in self.sb.blocks.iter().enumerate() {
+                self.sb.index.insert(b.entry_va, id as u32);
+            }
+            self.sb.index.shrink_to_fit();
+            self.sb.last = None;
+        }
+        if self.dcache.pages.iter().any(|p| p.epoch < from) {
+            // A kept block's page must stay decoded, and so watched: a
+            // store into it is what tells the block it is stale. (A block
+            // whose page is no longer decoded predates a code-generation
+            // bump, and the next dispatch drops it.)
+            for b in &self.sb.blocks {
+                if let Some(&i) = self.dcache.index.get(&b.pa_page) {
+                    let p = &mut self.dcache.pages[i];
+                    p.epoch = p.epoch.max(from);
+                }
+            }
+            self.dcache.pages.retain(|p| p.epoch >= from);
+            self.dcache.pages.shrink_to_fit();
+            self.dcache.index.clear();
+            mem.clear_code_watch();
+            for (i, p) in self.dcache.pages.iter().enumerate() {
+                self.dcache.index.insert(p.base, i);
+                mem.watch_code_page(p.base);
+            }
+            self.dcache.last = None;
+            self.hot = None;
+        }
     }
 
     /// Whether the superblock engine is active (requires the accelerator
@@ -381,7 +551,7 @@ impl FetchAccel {
     /// tests and benchmarks to isolate the engine's contribution.
     pub fn set_superblocks(&mut self, on: bool) {
         self.sb_enabled = on;
-        self.sb_invalidate(SbInvalCause::Tlb);
+        self.sb_invalidate(SbInvalCause::Toggle);
     }
 
     /// Whether the micro-op specialisation tier is active (requires the
@@ -396,7 +566,7 @@ impl FetchAccel {
     /// and benchmarks to isolate the tier's contribution.
     pub fn set_uops(&mut self, on: bool) {
         self.uop_enabled = on;
-        self.sb_invalidate(SbInvalCause::Tlb);
+        self.sb_invalidate(SbInvalCause::Toggle);
     }
 
     /// Sets the promotion threshold: dispatch hits a superblock must
@@ -441,7 +611,7 @@ impl FetchAccel {
         if !self.sb.blocks.is_empty() || !self.sb.index.is_empty() {
             match cause {
                 SbInvalCause::CodeGen => self.sb.stats.inval_code_gen += 1,
-                SbInvalCause::Tlb => self.sb.stats.inval_tlb += 1,
+                SbInvalCause::Toggle => self.sb.stats.inval_tlb += 1,
             }
         }
         self.sb.blocks.clear();
@@ -497,9 +667,13 @@ impl FetchAccel {
     ///
     /// Probe order: the previous block's successor link for its recorded
     /// exit, then the entry-VA index, then a build attempt. Every path
-    /// re-validates `(entry VA, world, TTBR0)` against the block and the
-    /// cache-wide generation against `gen_now`, so a stale link or index
-    /// entry is a missed shortcut, never a wrong dispatch.
+    /// re-validates `(entry VA, world, TTBR0, epoch)` against the block and
+    /// the cache-wide generation against `gen_now`, so a stale link or
+    /// index entry is a missed shortcut, never a wrong dispatch. A block
+    /// the index finds from an earlier epoch is confirmed through the
+    /// hot-fetch entry before it runs (see the module docs' *Code cache
+    /// across enclave entries*); until the per-instruction path has
+    /// fetched from its page in this epoch, the answer is `None`.
     pub(crate) fn sb_dispatch(
         &mut self,
         pc: Addr,
@@ -538,7 +712,8 @@ impl FetchAccel {
         if let Some((pid, kind)) = prev {
             if let Some(id) = self.sb.blocks[pid as usize].succ[kind as usize] {
                 let b = &self.sb.blocks[id as usize];
-                if b.entry_va == pc && b.world == world && b.ttbr0 == ttbr0 {
+                if b.entry_va == pc && b.world == world && b.ttbr0 == ttbr0 && b.epoch == self.epoch
+                {
                     self.sb.stats.hits += 1;
                     self.sb.stats.chained += 1;
                     self.sb_promote_if_hot(id, trace, cycle);
@@ -550,17 +725,38 @@ impl FetchAccel {
             Some(NO_BLOCK) => return None,
             Some(id) => {
                 let b = &self.sb.blocks[id as usize];
-                if b.world == world && b.ttbr0 == ttbr0 {
+                let rebuild = if b.world != world || b.ttbr0 != ttbr0 {
+                    // Same VA under a different context.
+                    true
+                } else if b.epoch != self.epoch {
+                    // Kept from an earlier epoch: the hot-fetch entry must
+                    // show this epoch's translation of the entry page, and
+                    // it must resolve where the block was decoded.
+                    let h = self.hot.filter(|h| {
+                        h.va_page == page_base(pc)
+                            && h.world == world
+                            && h.ttbr0 == ttbr0
+                            && self.dcache.gen == gen_now
+                    })?;
+                    if h.pa_page == b.pa_page && h.attrs == b.attrs {
+                        self.sb_confirm(id);
+                        false
+                    } else {
+                        // The page now maps elsewhere.
+                        true
+                    }
+                } else {
+                    false
+                };
+                if rebuild {
+                    self.sb_build(pc, world, ttbr0, gen_now, Some(id), trace, cycle)?
+                } else {
                     self.sb.stats.hits += 1;
                     self.sb_promote_if_hot(id, trace, cycle);
                     id
-                } else {
-                    // Same VA under a different context (the old block
-                    // stays allocated but unreachable until invalidation).
-                    self.sb_build(pc, world, ttbr0, gen_now, trace, cycle)?
                 }
             }
-            None => self.sb_build(pc, world, ttbr0, gen_now, trace, cycle)?,
+            None => self.sb_build(pc, world, ttbr0, gen_now, None, trace, cycle)?,
         };
         if let Some((pid, kind)) = prev {
             // Remember where the previous block's exit led: next time the
@@ -570,14 +766,36 @@ impl FetchAccel {
         Some(id)
     }
 
+    /// Confirms block `id`, kept from an earlier translation epoch, in the
+    /// current one. Its micro-op trace's per-site data translations were
+    /// formed in an earlier epoch, so they are reset: each site refills
+    /// from the data-TLB, which holds only this epoch's translations. An
+    /// unpromoted block's hit count restarts too, so promotion stays what
+    /// it is without the code cache: a block dispatched often within one
+    /// epoch, not one that ran a few times on each of many entries.
+    fn sb_confirm(&mut self, id: u32) {
+        let b = &mut self.sb.blocks[id as usize];
+        b.epoch = self.epoch;
+        b.hot = 0;
+        if let Some(u) = &b.uop {
+            for site in u.sites.iter() {
+                site.set(None);
+            }
+        }
+        self.sb.stats.revalidated += 1;
+    }
+
     /// Forms a trace starting at `pc` from the decoded page the hot-fetch
-    /// entry points at (see [`Block`] for the admission rules).
+    /// entry points at (see [`Block`] for the admission rules), in the
+    /// slot `slot` when it replaces a block at the same VA.
+    #[allow(clippy::too_many_arguments)]
     fn sb_build(
         &mut self,
         pc: Addr,
         world: World,
         ttbr0: Addr,
         gen_now: u64,
+        slot: Option<u32>,
         trace: &mut FlightRecorder,
         cycle: u64,
     ) -> Option<u32> {
@@ -589,7 +807,7 @@ impl FetchAccel {
         // the translation is in the TLB and the secure-attribute check
         // passed, which is what entitles every instruction in the trace to
         // account `hit + read + INSN` exactly like the per-insn hot path.
-        let h = self.hot.as_ref()?;
+        let h = self.hot?;
         if h.va_page != page_base(pc) || h.world != world || h.ttbr0 != ttbr0 {
             return None;
         }
@@ -642,7 +860,6 @@ impl FetchAccel {
             self.sb.index.insert(pc, NO_BLOCK);
             return None;
         }
-        let id = self.sb.blocks.len() as u32;
         trace.record(
             cycle,
             Event::SbBuild {
@@ -650,17 +867,30 @@ impl FetchAccel {
                 len: (body.len() + with_branch as usize) as u32,
             },
         );
-        self.sb.blocks.push(Block {
+        let block = Block {
             entry_va: pc,
             world,
             ttbr0,
+            pa_page: h.pa_page,
+            attrs: h.attrs,
+            epoch: self.epoch,
             body: body.into_boxed_slice(),
             end,
             max_charge,
             succ: [None, None],
             hot: 0,
             uop: None,
-        });
+        };
+        let id = match slot {
+            Some(id) => {
+                self.sb.blocks[id as usize] = block;
+                id
+            }
+            None => {
+                self.sb.blocks.push(block);
+                self.sb.blocks.len() as u32 - 1
+            }
+        };
         self.sb.index.insert(pc, id);
         self.sb.stats.built += 1;
         Some(id)
@@ -808,13 +1038,14 @@ impl FetchAccel {
                     i
                 }
                 None => {
-                    let i = self.dcache.fill(mem, base)?;
+                    let i = self.dcache.fill(mem, base, self.epoch)?;
                     self.fills += 1;
                     i
                 }
             },
         };
-        let page = &self.dcache.pages[idx];
+        let page = &mut self.dcache.pages[idx];
+        page.epoch = self.epoch;
         if page.secure && !attrs.secure {
             // The bus would reject this fetch; take the uncached path so
             // the fault is raised (and left uncounted) exactly as without
@@ -832,6 +1063,8 @@ impl FetchAccel {
                     world: tc.world,
                     ttbr0: tc.ttbr0,
                     idx,
+                    pa_page: tc.pa_page,
+                    attrs: tc.attrs,
                 });
             }
         }

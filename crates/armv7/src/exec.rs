@@ -142,6 +142,9 @@ impl Machine {
         // exception, and every exception path exits this loop.
         let world = self.world();
         let ttbr0 = self.cp15.mmu(world).ttbr0;
+        if world == World::Secure {
+            self.accel.note_secure_run();
+        }
         let mut steps_left = max_steps;
         while steps_left > 0 {
             // Pending interrupts are taken before the next instruction;
@@ -217,8 +220,9 @@ impl Machine {
     ///   data-TLB); a lone-branch block's empty body is no such stop.
     /// - **Micro-op traces**: a promoted block running whole-trace goes
     ///   through `run_uop_trace`, which may hop into further promoted
-    ///   traces; each hop re-checks the first two points for its trace,
-    ///   so the retired count is what repeated dispatches would return.
+    ///   traces confirmed in the current translation epoch; each hop
+    ///   re-checks the first two points for its trace, so the retired
+    ///   count is what repeated dispatches would return.
     fn step_superblock(
         &mut self,
         world: World,
@@ -800,10 +804,12 @@ fn uop_ea(r: &[Word; 15], base: u8, off: MemOff) -> Addr {
 /// cached VA page, refilled from the real data-TLB on mismatch. A site
 /// hit replays exactly what `DataTlb::lookup_data` would return — the
 /// entry was formed from a lookup under the same `(world, TTBR0)` the
-/// trace is keyed by, the architectural TLB never re-maps a VA without
-/// an event that kills every block (and with it every site), and the
-/// verdict for this site's access kind was checked at fill time — so
-/// accounting one TLB hit per access stays exact.
+/// trace is keyed by, in the current translation epoch (a block kept
+/// from an earlier epoch has its sites reset when it is confirmed, and
+/// the runner hops only into confirmed blocks), so the architectural TLB
+/// still holds it; and the verdict for this site's access kind was
+/// checked at fill time — so accounting one TLB hit per access stays
+/// exact.
 #[inline]
 fn site_lookup(
     t: &UopTrace,
@@ -857,7 +863,11 @@ struct UopRun {
 /// dispatcher) straight into the next promoted trace — no commit, no
 /// re-dispatch, no regfile round-trip — but only while every check the
 /// dispatcher would make for that trace still holds: its entry VA, world
-/// and `TTBR0` match the new PC and the run's context; the remaining step
+/// and `TTBR0` match the new PC and the run's context; it was built or
+/// confirmed in the current translation epoch, which is the epoch of the
+/// trace being left (the dispatcher confirmed the first trace, and every
+/// hop keeps this invariant; a block kept from an earlier epoch is
+/// confirmed only by the dispatcher); the remaining step
 /// budget covers a whole pass (`UopTrace::steps`, the dispatcher's `full`
 /// check); and the accumulated cycle charge plus the target's worst-case
 /// pass still ends before the wake deadline (`cost + max_charge <
@@ -1123,12 +1133,14 @@ fn run_uop_trace<'a>(
             }
             break 'chain Some(exit);
         }
-        if let Some(next) = blocks[id as usize].succ[exit as usize] {
+        let cur = &blocks[id as usize];
+        if let Some(next) = cur.succ[exit as usize] {
             let nb = &blocks[next as usize];
             if let Some(nt) = &nb.uop {
                 if nb.entry_va == pc_cur
                     && nb.world == world
                     && nb.ttbr0 == ttbr0
+                    && nb.epoch == cur.epoch
                     && whole_pass_fits(nt.steps, nb.max_charge)
                 {
                     hops += 1;
@@ -1560,22 +1572,60 @@ mod tests {
         );
     }
 
-    /// `tlb_flush` drops the accelerator's cached pages and translation
-    /// entry (their validity arguments are anchored to TLB residency),
-    /// and execution afterwards is still correct.
+    /// `tlb_flush` starts a new translation epoch: it drops the
+    /// accelerator's translation entries and the data-TLB (their validity
+    /// rests on TLB residency) and keeps the decoded pages and blocks,
+    /// which are keyed by physical page and guarded by the code watch.
+    /// The re-entered code runs its kept block once the per-instruction
+    /// path has translated the page again, without rebuilding it, and
+    /// ends bit-for-bit equal to the uncached run.
     #[test]
-    fn tlb_flush_drops_fetch_accelerator_state() {
+    fn tlb_flush_keeps_decoded_pages_and_blocks() {
         let mut a = Assembler::new(0x8000);
-        a.mov_imm(Reg::R(0), 1);
+        a.mov_imm32(Reg::R(8), 0x9000);
+        a.add_imm(Reg::R(0), Reg::R(0), 1);
+        a.str_imm(Reg::R(0), Reg::R(8), 0);
+        a.add_imm(Reg::R(1), Reg::R(1), 2);
         a.svc(0);
-        let mut m = guest_machine(&a.words());
-        m.run_user(100).unwrap();
-        assert!(m.accel.cached_pages() > 0);
-        m.tlb_flush();
-        assert_eq!(m.accel.cached_pages(), 0, "flush must drop cached pages");
-        m.exception_return().unwrap();
-        m.pc = 0x8000;
-        assert_eq!(m.run_user(100).unwrap(), ExitReason::Svc { imm24: 0 });
+        let run = |accel: bool| {
+            let mut m = guest_machine(&a.words());
+            m.set_fetch_accel(accel);
+            assert_eq!(m.run_user(100).unwrap(), ExitReason::Svc { imm24: 0 });
+            let (pages, blocks, built) = (
+                m.accel.cached_pages(),
+                m.accel.cached_blocks(),
+                m.superblock_stats().built,
+            );
+            m.tlb_flush();
+            if accel {
+                assert!(pages > 0 && blocks > 0, "nothing was cached");
+                assert_eq!(
+                    m.accel.cached_pages(),
+                    pages,
+                    "flush must keep decoded pages"
+                );
+                assert_eq!(m.accel.cached_blocks(), blocks, "flush must keep blocks");
+                assert!(
+                    m.accel
+                        .fetch_tc_lookup(0x8000, World::Secure, 0x8000_0000)
+                        .is_none(),
+                    "flush must drop the fetch translation"
+                );
+                assert_eq!(m.dtlb.live_entries(), 0, "flush must drop the data-TLB");
+            }
+            m.exception_return().unwrap();
+            m.pc = 0x8000;
+            assert_eq!(m.run_user(100).unwrap(), ExitReason::Svc { imm24: 0 });
+            if accel {
+                let s = m.superblock_stats();
+                assert_eq!(s.built, built, "the kept block was rebuilt: {s:?}");
+                assert_eq!(s.revalidated, blocks as u64, "stats: {s:?}");
+            }
+            m
+        };
+        let cached = run(true);
+        let uncached = run(false);
+        assert!(cached == uncached, "architectural state diverged");
     }
 
     /// An `ldr` from the RX code page primes the accelerator's data-side
@@ -2482,12 +2532,13 @@ mod tests {
     }
 
     /// TLB flush, `TTBR0` reload, and world switch each landing between
-    /// promoted runs of a memory-carrying loop: every source must drop
-    /// the specialised traces (counted), the loop must re-promote, and
-    /// the architectural state must stay bit-for-bit equal to baseline
-    /// across all rounds.
+    /// promoted runs of a memory-carrying loop: no source drops a block or
+    /// its specialised trace, so the re-entered loop re-promotes nothing
+    /// (the flush and the reload confirm the kept blocks in the new
+    /// translation epoch instead), and the architectural state stays
+    /// bit-for-bit equal to baseline across all rounds.
     #[test]
-    fn uop_invalidation_sources_drop_specialised_traces_exactly() {
+    fn uop_traces_survive_translation_epochs_exactly() {
         let mut a = Assembler::new(0x8000);
         a.mov_imm32(Reg::R(8), 0x9000);
         a.mov_imm(Reg::R(0), 30); // Loop counter.
@@ -2544,23 +2595,30 @@ mod tests {
                 s.uop_hits > 10,
                 "source {source}: specialised traces barely ran ({s:?})"
             );
+            assert!(
+                s.uop_promoted >= 1,
+                "source {source}: never promoted ({s:?})"
+            );
+            // Every block built is still cached and every trace promoted
+            // is still attached: nothing was dropped, rebuilt or
+            // re-promoted.
+            let blocks = m_uop.accel.sb_blocks();
+            let traces = blocks.iter().filter(|b| b.uop.is_some()).count();
+            assert_eq!(s.built, blocks.len() as u64, "source {source}: {s:?}");
+            assert_eq!(s.uop_promoted, traces as u64, "source {source}: {s:?}");
+            assert_eq!(
+                (s.inval_tlb, s.uop_invalidations),
+                (0, 0),
+                "source {source}: {s:?}"
+            );
             if source == 2 {
-                // A world switch doesn't drop superblocks: every block
-                // (and its trace) is keyed by world and re-validated at
-                // dispatch, so the promoted trace soundly survives the
-                // round trip — no drop, no re-promotion.
-                assert!(
-                    s.uop_promoted >= 1,
-                    "source {source}: never promoted ({s:?})"
-                );
+                // A world switch starts no epoch: every block (and its
+                // trace) is keyed by world and re-validated at dispatch.
+                assert_eq!(s.revalidated, 0, "source {source}: {s:?}");
             } else {
                 assert!(
-                    s.uop_promoted >= 3,
-                    "source {source}: the loop must re-promote after every drop ({s:?})"
-                );
-                assert!(
-                    s.uop_invalidations >= 3,
-                    "source {source}: dropped traces uncounted ({s:?})"
+                    s.revalidated >= 2,
+                    "source {source}: kept blocks were never confirmed ({s:?})"
                 );
             }
         }

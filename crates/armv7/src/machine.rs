@@ -229,21 +229,16 @@ impl Machine {
     }
 
     /// Enables or disables the host-side fetch accelerator. Disabling (or
-    /// re-enabling) drops all cached state; simulated behaviour is
-    /// identical either way, only host speed changes.
+    /// re-enabling) drops all cached state — decoded pages, blocks,
+    /// translation entries, the data-TLB and the code watch behind them;
+    /// simulated behaviour is identical either way, only host speed
+    /// changes. Recorded events mirror the statistics convention: a drop
+    /// is an event only when something was cached.
     pub fn set_fetch_accel(&mut self, on: bool) {
         self.accel.set_enabled(on);
         self.dtlb.set_enabled(on);
-        self.invalidate_fetch_accel(DTlbInval::Flush);
-    }
-
-    /// Drops the accelerator's cached decodes and translation entry, the
-    /// data-TLB (attributing the drop to `cause`), and the memory-side
-    /// write watch that backs them. Recorded events mirror the statistics
-    /// convention: a drop is an event only when something was cached.
-    fn invalidate_fetch_accel(&mut self, cause: DTlbInval) {
         if self.trace.enabled() {
-            let tc = trace_cause(cause);
+            let tc = trace_cause(DTlbInval::Flush);
             if self.accel.sb_has_cached() {
                 self.trace.record(self.cycles, Event::SbInval { cause: tc });
             }
@@ -251,14 +246,28 @@ impl Machine {
                 self.trace
                     .record(self.cycles, Event::UopInval { cause: tc });
             }
-            if self.dtlb.live_entries() > 0 {
-                self.trace
-                    .record(self.cycles, Event::DTlbInval { cause: tc });
-            }
         }
         self.accel.invalidate();
-        self.dtlb.invalidate(cause);
         self.mem.clear_code_watch();
+    }
+
+    /// Starts a new translation epoch: drops the host state that stands
+    /// for TLB residency — the accelerator's translation and hot-fetch
+    /// entries and the data-TLB (attributing the drop to `cause`) — and
+    /// keeps decoded pages, blocks and micro-op traces, which are
+    /// confirmed in the new epoch before they run again (see the
+    /// *Code cache across enclave entries* section of [`crate::dcache`]).
+    fn new_translation_epoch(&mut self, cause: DTlbInval) {
+        if self.trace.enabled() && self.dtlb.live_entries() > 0 {
+            self.trace.record(
+                self.cycles,
+                Event::DTlbInval {
+                    cause: trace_cause(cause),
+                },
+            );
+        }
+        self.accel.new_epoch();
+        self.dtlb.invalidate(cause);
     }
 
     /// Enables or disables the superblock engine layered on the fetch
@@ -309,7 +318,10 @@ impl Machine {
     /// Writes `SCR.NS`, dropping the data-TLB when the effective
     /// TrustZone world changes. The monitor's world-switch paths (SMC
     /// entry/exit, boot hand-off) route through here so data-TLB entries
-    /// never outlive the world they were formed in.
+    /// never outlive the world they were formed in. A switch to the
+    /// normal world also trims the fetch accelerator to the working set
+    /// of the secure-world run that just returned, if one ran
+    /// (`FetchAccel::trim`).
     pub fn set_scr_ns(&mut self, ns: bool) {
         if self.cp15.scr_ns != ns {
             if self.trace.enabled() && self.dtlb.live_entries() > 0 {
@@ -321,6 +333,9 @@ impl Machine {
                 );
             }
             self.dtlb.invalidate(DTlbInval::World);
+            if ns {
+                self.accel.trim(&mut self.mem);
+            }
             self.trace.record(self.cycles, Event::WorldSwitch { ns });
         }
         self.cp15.scr_ns = ns;
@@ -439,32 +454,36 @@ impl Machine {
     }
 
     /// Loads `TTBR0` for the current world and marks the TLB inconsistent,
-    /// as the paper's model prescribes for page-table base loads.
+    /// as the paper's model prescribes for page-table base loads. Starts a
+    /// new translation epoch for the host-side caches.
     pub fn load_ttbr0(&mut self, pa: Addr) {
         let world = self.world();
         self.cp15.mmu_mut(world).ttbr0 = pa;
         self.tlb.mark_inconsistent();
-        self.invalidate_fetch_accel(DTlbInval::Ttbr);
+        self.new_translation_epoch(DTlbInval::Ttbr);
     }
 
     /// Flushes the entire TLB (the only flush the model supports, §5.1).
-    /// Also drops the fetch accelerator's caches, whose validity arguments
-    /// are anchored to TLB residency.
+    /// Also starts a new translation epoch: the host-side state that stands
+    /// for TLB residency (the accelerator's translation entries, the
+    /// data-TLB) is dropped, while decoded pages, blocks and micro-op
+    /// traces are kept and confirmed again before they run.
     pub fn tlb_flush(&mut self) {
         self.tlb.flush();
         self.charge(cost::TLB_FLUSH);
         self.trace.record(self.cycles, Event::TlbFlush);
-        self.invalidate_fetch_accel(DTlbInval::Flush);
+        self.new_translation_epoch(DTlbInval::Flush);
     }
 
     /// Notes a store to page-table memory, marking the TLB inconsistent.
     ///
     /// The monitor calls this when it writes descriptors; enclave code can
     /// never reach page-table pages (a PageDB invariant), so user-mode
-    /// stores need no such tracking.
+    /// stores need no such tracking. Starts a new translation epoch for
+    /// the host-side caches.
     pub fn note_pagetable_store(&mut self) {
         self.tlb.mark_inconsistent();
-        self.invalidate_fetch_accel(DTlbInval::Ttbr);
+        self.new_translation_epoch(DTlbInval::Ttbr);
     }
 
     /// Monitor-attributed physical read with cycle charging.

@@ -218,6 +218,22 @@ impl PhysMem {
             .sum()
     }
 
+    /// Every allocated page frame, as `(physical page base, contents)`,
+    /// in region order and then address order. An observer's view: it
+    /// bumps no access counter and checks no bus attribute. Pages it does
+    /// not yield read as zero, and a yielded frame may itself be all zero
+    /// (written, then zeroed back), so a digest over it should skip zero
+    /// frames to keep the meaning of memory equality.
+    pub fn resident_frames(&self) -> impl Iterator<Item = (Addr, &[Word; WORDS_PER_PAGE])> {
+        self.regions.iter().flat_map(|r| {
+            let first = page_base(r.base);
+            r.frames.iter().enumerate().filter_map(move |(i, f)| {
+                f.as_deref()
+                    .map(|frame| (first + i as u32 * PAGE_SIZE, frame))
+            })
+        })
+    }
+
     /// Whether `addr` lies in a secure region.
     pub fn is_secure(&self, addr: Addr) -> bool {
         region_for(&self.regions, addr).is_some_and(|r| r.secure)

@@ -290,8 +290,8 @@ pub(crate) struct Site {
     pub(crate) attrs: AccessAttrs,
 }
 
-/// A specialised micro-op trace, owned by its superblock (and dying
-/// with it on every invalidation).
+/// A specialised micro-op trace, owned by its superblock (kept with it
+/// across translation epochs, and dying with it on every invalidation).
 #[derive(Clone, Debug)]
 pub(crate) struct UopTrace {
     /// The specialised body; one entry per block body instruction
@@ -577,6 +577,9 @@ mod tests {
             entry_va: 0x8000,
             world: World::Secure,
             ttbr0: 0x8000_0000,
+            pa_page: 0x8000_2000,
+            attrs: crate::mem::AccessAttrs::ENCLAVE,
+            epoch: 0,
             body: body.into_boxed_slice(),
             end,
             max_charge: 64,

@@ -22,6 +22,24 @@ use proptest::prelude::*;
 
 const CODE_VA: u32 = 0x8000;
 const DATA_VA: u32 = 0x9000;
+/// The physical pages `CODE_VA` and `DATA_VA` map to at start (index 0),
+/// and the second page of each that the remap tests re-point them at.
+const CODE_PAS: [u32; 2] = [0x8000_2000, 0x8000_4000];
+const DATA_PAS: [u32; 2] = [0x8000_3000, 0x8000_5000];
+/// The L2 descriptors of `CODE_VA` and `DATA_VA`.
+const CODE_PTE: u32 = 0x8000_1000 + 8 * 4;
+const DATA_PTE: u32 = 0x8000_1000 + 9 * 4;
+
+/// Points the L2 descriptor `pte` at `pa` with `perms`, the way the
+/// monitor changes a mapping: the page-table store is noted and the TLB
+/// flushed. Stores into no code page, so no code-generation bump fires.
+fn remap(m: &mut Machine, pte: u32, pa: u32, perms: PagePerms) {
+    m.mem
+        .write(pte, l2_page_desc(pa, perms, false), AccessAttrs::MONITOR)
+        .unwrap();
+    m.note_pagetable_store();
+    m.tlb_flush();
+}
 
 /// A machine with one RX code page and one RW data page, user mode.
 fn machine_with(code: &[u32]) -> Machine {
@@ -612,36 +630,53 @@ proptest! {
     /// Satellite property for the micro-op tier: random promotion traffic
     /// interleaved with random invalidation causes. Each round runs the
     /// hot kernel (promoting traces once hot), then applies one randomly
-    /// chosen invalidation source — nothing, a TLB flush, a TTBR0 reload,
-    /// a world round-trip, or a store into the code page — and the final
-    /// machines stay four-way bit-identical throughout.
+    /// chosen cause — nothing, a TLB flush, a TTBR0 reload, a world
+    /// round-trip, a store into the code page, or one of three remaps —
+    /// and the final machines and exit sequences stay four-way
+    /// bit-identical throughout.
+    ///
+    /// The remaps each write a page-table entry, note the page-table
+    /// store and flush, and none stores into a code page, so only the
+    /// translation-epoch checks stand between kept blocks and a stale
+    /// mapping: cause 5 re-points `CODE_VA` at the other of two physical
+    /// pages holding different kernels, cause 6 re-points `DATA_VA` at
+    /// the other of two data pages with different contents, and cause 7
+    /// remaps the current code page without execute permission, after
+    /// which every tier must prefetch-abort at the same state (until a
+    /// cause 5 maps code again).
     #[test]
     fn prop_random_promotions_survive_random_invalidations(
         seed_vals in proptest::array::uniform4(any::<u32>()),
-        causes in proptest::collection::vec(0u8..5, 1..8),
+        causes in proptest::collection::vec(0u8..8, 1..12),
     ) {
-        let mut a = Assembler::new(CODE_VA);
-        a.mov_imm32(Reg::R(8), DATA_VA);
-        a.mov_imm(Reg::R(7), 12);
-        let top = a.label();
-        a.ldr_imm(Reg::R(2), Reg::R(8), 0);
-        a.add_reg(Reg::R(0), Reg::R(0), Reg::R(2));
-        a.str_imm(Reg::R(0), Reg::R(8), 4);
-        a.eor_ror(Reg::R(1), Reg::R(1), Reg::R(0), 5);
-        a.subs_imm(Reg::R(7), Reg::R(7), 1);
-        a.b_to(Cond::Ne, top);
-        a.svc(0);
-        let code = a.words();
-        // A harmless word patched into the code page by cause 4: the same
-        // instruction that is already at offset 4 (add r0, r0, r2), so the
-        // program's behaviour is unchanged but the write lands in the code
-        // page and bumps the code generation.
-        let patch_word = code[3];
+        let kernel = |alt: bool| {
+            let mut a = Assembler::new(CODE_VA);
+            a.mov_imm32(Reg::R(8), DATA_VA);
+            a.mov_imm(Reg::R(7), 12);
+            let top = a.label();
+            a.ldr_imm(Reg::R(2), Reg::R(8), 0);
+            if alt {
+                a.sub_reg(Reg::R(0), Reg::R(0), Reg::R(2));
+            } else {
+                a.add_reg(Reg::R(0), Reg::R(0), Reg::R(2));
+            }
+            a.str_imm(Reg::R(0), Reg::R(8), 4);
+            a.eor_ror(Reg::R(1), Reg::R(1), Reg::R(0), if alt { 11 } else { 5 });
+            a.subs_imm(Reg::R(7), Reg::R(7), 1);
+            a.b_to(Cond::Ne, top);
+            a.svc(0);
+            a.words()
+        };
+        let kernels = [kernel(false), kernel(true)];
         let run = |accel: bool,
                    superblocks: bool,
                    uops: bool|
-         -> Result<Machine, proptest::test_runner::TestCaseError> {
-            let mut m = machine_with(&code);
+         -> Result<(Machine, Vec<ExitReason>), proptest::test_runner::TestCaseError> {
+            let mut m = machine_with(&kernels[0]);
+            m.mem.load_words(CODE_PAS[1], &kernels[1]).unwrap();
+            m.mem
+                .load_words(DATA_PAS[1], &[0x0bad_cafe, 0x1234_5678])
+                .unwrap();
             m.set_fetch_accel(accel);
             m.set_superblocks(superblocks);
             m.set_uop_traces(uops);
@@ -649,11 +684,21 @@ proptest! {
             for (i, v) in seed_vals.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
+            // Which code and data page the VAs map to, and whether code
+            // is executable.
+            let (mut code, mut data, mut exec) = (0usize, 0usize, true);
+            let mut exits = Vec::new();
             for &cause in &causes {
                 m.pc = CODE_VA;
                 m.cpsr = Psr::user();
                 let exit = m.run_user(100_000).unwrap();
-                prop_assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+                let want = if exec {
+                    ExitReason::Svc { imm24: 0 }
+                } else {
+                    ExitReason::PrefetchAbort(CODE_VA)
+                };
+                prop_assert_eq!(exit, want);
+                exits.push(exit);
                 match cause {
                     0 => {}
                     1 => m.tlb_flush(),
@@ -671,24 +716,42 @@ proptest! {
                     4 => {
                         // Host-side store into the (watched) code page: the
                         // write-watch generation bump must drop decodes,
-                        // blocks and promoted traces alike.
+                        // blocks and promoted traces alike. The word is the
+                        // one already at offset 3 (the loop's ALU op), so
+                        // the program's behaviour is unchanged.
                         m.mem
-                            .write(0x8000_2000 + 3 * 4, patch_word, AccessAttrs::MONITOR)
+                            .write(CODE_PAS[code] + 3 * 4, kernels[code][3], AccessAttrs::MONITOR)
                             .unwrap();
+                    }
+                    5 => {
+                        code ^= 1;
+                        exec = true;
+                        remap(&mut m, CODE_PTE, CODE_PAS[code], PagePerms::RX);
+                    }
+                    6 => {
+                        data ^= 1;
+                        remap(&mut m, DATA_PTE, DATA_PAS[data], PagePerms::RW);
+                    }
+                    7 => {
+                        exec = false;
+                        remap(&mut m, CODE_PTE, CODE_PAS[code], PagePerms::RW);
                     }
                     _ => unreachable!(),
                 }
             }
-            Ok(m)
+            Ok((m, exits))
         };
-        let uop = run(true, true, true)?;
-        let sb = run(true, true, false)?;
-        let on = run(true, false, false)?;
-        let off = run(false, false, false)?;
+        let (uop, exits_uop) = run(true, true, true)?;
+        let (sb, exits_sb) = run(true, true, false)?;
+        let (on, exits_on) = run(true, false, false)?;
+        let (off, exits_off) = run(false, false, false)?;
         prop_assert!(
             uop.superblock_stats().uop_promoted > 0,
             "hot kernel never promoted"
         );
+        prop_assert_eq!(&exits_uop, &exits_off, "uop exit sequence diverged");
+        prop_assert_eq!(&exits_sb, &exits_off, "superblock exit sequence diverged");
+        prop_assert_eq!(&exits_on, &exits_off, "accel-only exit sequence diverged");
         prop_assert_eq!(uop.cycles, off.cycles, "uop cycle model diverged");
         prop_assert_eq!(sb.cycles, off.cycles, "superblock cycle model diverged");
         prop_assert_eq!(uop.tlb.hits, off.tlb.hits, "uop TLB accounting diverged");
@@ -891,10 +954,13 @@ proptest! {
     /// `BX LR`, self-looping inner loops, a conditional back-edge) run
     /// with promotion forced at two dispatches, under step budgets and
     /// chains of IRQ deadlines drawn to land mid-chain, each run resumed
-    /// until the kernel's `SVC`. The micro-op, superblock,
-    /// accelerator-only and baseline machines, their exit sequences and
-    /// counters must agree exactly, and the micro-op runner must actually
-    /// have hopped between traces.
+    /// until the kernel's `SVC`. Between runs `DATA_VA` is re-pointed at
+    /// the other of two data pages with different contents, so a linked
+    /// hop can meet a block kept from the previous translation epoch whose
+    /// per-site data translations still name the old page. The micro-op,
+    /// superblock, accelerator-only and baseline machines, their exit
+    /// sequences and counters must agree exactly, and the micro-op runner
+    /// must actually have hopped between traces.
     #[test]
     fn prop_linked_chains_are_architecturally_invisible(
         seed in any::<u64>(),
@@ -908,6 +974,8 @@ proptest! {
                    uops: bool|
          -> Result<(Machine, Vec<ExitReason>), proptest::test_runner::TestCaseError> {
             let mut m = machine_with(&code);
+            let second: Vec<u32> = (0..64u32).map(|i| 0x5a5a_0000 ^ i.wrapping_mul(0x9e37)).collect();
+            m.mem.load_words(DATA_PAS[1], &second).unwrap();
             m.set_fetch_accel(accel);
             m.set_superblocks(superblocks);
             m.set_uop_traces(uops);
@@ -918,6 +986,7 @@ proptest! {
             let mut deadlines = irqs.iter();
             m.irq_at = deadlines.next().map(|d| m.cycles + d);
             let mut exits = Vec::new();
+            let mut data = 0;
             loop {
                 let exit = m.run_user(budget).unwrap();
                 exits.push(exit);
@@ -930,6 +999,8 @@ proptest! {
                     }
                     other => prop_assert!(false, "unexpected exit {:?}", other),
                 }
+                data ^= 1;
+                remap(&mut m, DATA_PTE, DATA_PAS[data], PagePerms::RW);
                 prop_assert!(exits.len() < 10_000, "kernel never reached its SVC");
             }
             Ok((m, exits))

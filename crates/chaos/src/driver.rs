@@ -395,7 +395,7 @@ fn run_pass_body(p: &mut Platform, spec: &CaseSpec, secret: u32) -> PassObs {
     // the enclaves live means the refinement oracle also checks the
     // mid-flight PageDb shape, not just the post-destroy one.
     let final_cycles = p.cycles();
-    let final_view = adversary_view(&mut p.machine, &p.monitor.layout);
+    let final_view = adversary_view(&p.machine, &p.monitor.layout);
     let violations = invariant_violations(p);
     PassObs {
         slots,

@@ -9,9 +9,9 @@
 //! banked registers, or monitor writes to insecure memory would all
 //! surface here.
 
-use komodo_armv7::mem::AccessAttrs;
 use komodo_armv7::mode::Mode;
 use komodo_armv7::regs::{Bank, Reg};
+use komodo_armv7::word::PAGE_SIZE;
 use komodo_armv7::Machine;
 use komodo_crypto::{Digest, Sha256};
 use komodo_monitor::MonitorLayout;
@@ -19,7 +19,14 @@ use komodo_monitor::MonitorLayout;
 /// Digest of everything a normal-world adversary can observe about the
 /// machine: general-purpose registers, banked `SP`/`LR` (excluding
 /// monitor mode, per §6.1), current flags, and all insecure RAM.
-pub fn adversary_view(m: &mut Machine, layout: &MonitorLayout) -> Digest {
+///
+/// Insecure RAM is hashed as its non-zero pages, each with its page
+/// index, read through [`komodo_armv7::mem::PhysMem::resident_frames`]:
+/// the cost tracks the pages written, not the RAM size, and no access
+/// counter moves. Every other page reads as zero, so two views are equal
+/// exactly when insecure RAM is equal, whether a zero page was never
+/// written or written and then zeroed back.
+pub fn adversary_view(m: &Machine, layout: &MonitorLayout) -> Digest {
     let mut h = Sha256::new();
     for r in Reg::all() {
         h.update(&m.regs.get(Mode::User, r).to_be_bytes());
@@ -36,15 +43,16 @@ pub fn adversary_view(m: &mut Machine, layout: &MonitorLayout) -> Digest {
         h.update(&m.regs.lr_banked(bank).to_be_bytes());
     }
     h.update(&m.cpsr.encode().to_be_bytes());
-    // All insecure RAM, word by word.
-    let mut pa = 0u32;
-    while pa < layout.insecure_size {
-        let w = m
-            .mem
-            .read(pa, AccessAttrs::NORMAL)
-            .expect("insecure RAM readable");
-        h.update(&w.to_be_bytes());
-        pa += 4;
+    let mut bytes = [0u8; PAGE_SIZE as usize];
+    for (pa, frame) in m.mem.resident_frames() {
+        if pa >= layout.insecure_size || frame.iter().all(|&w| w == 0) {
+            continue;
+        }
+        for (b, w) in bytes.chunks_exact_mut(4).zip(frame.iter()) {
+            b.copy_from_slice(&w.to_be_bytes());
+        }
+        h.update(&(pa / PAGE_SIZE).to_be_bytes());
+        h.update(&bytes);
     }
     h.finish()
 }
@@ -81,8 +89,8 @@ mod tests {
     /// Asserts the adversary views coincide; on mismatch, panics with the
     /// side-by-side flight-recorder tails of both machines.
     fn assert_views_equal(p1: &mut Platform, p2: &mut Platform, what: &str) {
-        let v1 = adversary_view(&mut p1.machine, &p1.monitor.layout);
-        let v2 = adversary_view(&mut p2.machine, &p2.monitor.layout);
+        let v1 = adversary_view(&p1.machine, &p1.monitor.layout);
+        let v2 = adversary_view(&p2.machine, &p2.monitor.layout);
         if v1 != v2 {
             panic!(
                 "{what}\n{}",
@@ -161,8 +169,42 @@ mod tests {
         let e1 = p1.load(&progs::echo()).unwrap();
         let _e2 = p2.load(&progs::echo()).unwrap();
         p1.write_shared(&e1, 1, 0, &[42]);
-        let v1 = adversary_view(&mut p1.machine, &p1.monitor.layout);
-        let v2 = adversary_view(&mut p2.machine, &p2.monitor.layout);
+        let v1 = adversary_view(&p1.machine, &p1.monitor.layout);
+        let v2 = adversary_view(&p2.machine, &p2.monitor.layout);
         assert_ne!(v1, v2);
+    }
+
+    /// An insecure page written and then zeroed back is, to the
+    /// adversary, the page never written: the view hashes non-zero pages
+    /// only, and reading it moves no access counter.
+    #[test]
+    fn zeroed_back_page_gives_the_never_written_view() {
+        let (mut p1, p2) = paired_platforms();
+        let pa = 0x3000;
+        let resident = p1.machine.mem.resident_pages();
+        p1.machine
+            .mem
+            .write(pa, 0xdead_beef, komodo_armv7::mem::AccessAttrs::NORMAL)
+            .unwrap();
+        assert_ne!(
+            adversary_view(&p1.machine, &p1.monitor.layout),
+            adversary_view(&p2.machine, &p2.monitor.layout),
+            "a non-zero insecure word must change the view"
+        );
+        p1.machine
+            .mem
+            .write(pa, 0, komodo_armv7::mem::AccessAttrs::NORMAL)
+            .unwrap();
+        assert_eq!(p1.machine.mem.resident_pages(), resident + 1);
+        let (reads, writes) = (p1.machine.mem.reads, p1.machine.mem.writes);
+        assert_eq!(
+            adversary_view(&p1.machine, &p1.monitor.layout),
+            adversary_view(&p2.machine, &p2.monitor.layout)
+        );
+        assert_eq!(
+            (p1.machine.mem.reads, p1.machine.mem.writes),
+            (reads, writes),
+            "the view must not count accesses"
+        );
     }
 }

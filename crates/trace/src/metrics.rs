@@ -37,7 +37,9 @@ pub struct MetricsSnapshot {
     /// Superblock cache drops caused by code-generation bumps
     /// (self-modifying or newly written code).
     pub sb_inval_code_gen: u64,
-    /// Superblock cache drops caused by TLB-anchored invalidation.
+    /// Superblock cache drops caused by an accelerator toggle. A TLB
+    /// flush, `TTBR0` load or page-table store keeps the blocks: it starts
+    /// a new translation epoch, in which kept blocks are re-validated.
     pub sb_inval_tlb: u64,
     /// Data-TLB lookups served.
     pub dtlb_hits: u64,
@@ -54,7 +56,8 @@ pub struct MetricsSnapshot {
     /// Dispatches executed through a specialised micro-op trace.
     pub uop_hits: u64,
     /// Superblock-cache drops that destroyed at least one specialised
-    /// micro-op trace (traces die with the block cache).
+    /// micro-op trace (traces die with the block cache, and survive a TLB
+    /// flush with it).
     pub uop_invalidations: u64,
     /// Flight-recorder capacity (0 = disabled).
     pub trace_capacity: u64,

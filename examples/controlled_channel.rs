@@ -60,10 +60,7 @@ fn komodo_side() {
         let e = p.load(&progs::page_oracle()).unwrap();
         let r = p.run(&e, 0, [bit, 0, 0]);
         assert_eq!(r, EnclaveRun::Exited(0));
-        (
-            adversary_view(&mut p.machine, &p.monitor.layout),
-            p.cycles(),
-        )
+        (adversary_view(&p.machine, &p.monitor.layout), p.cycles())
     };
     let (v0, c0) = run(0);
     let (v1, c1) = run(1);

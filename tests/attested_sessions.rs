@@ -4,11 +4,11 @@
 //! closed), the equal-keys property over randomized drives, and the
 //! shard-count invariance of a large concurrent handshake wave.
 
-use komodo::Platform;
+use komodo::{measure_image, Enclave, Platform};
 use komodo_crypto::{
     device_attest_key, kdf, Digest, Quote, Verifier, VerifierSession, VerifyError,
 };
-use komodo_service::protocol::Attested;
+use komodo_service::protocol::{Attested, AttestedState, AttestedStep, StepCtx};
 use komodo_service::{
     drive_attested, AttestedClient, Protocol, QuoteWords, Request, Response, Service,
     ServiceConfig, ServiceError, ServiceHandle,
@@ -77,6 +77,111 @@ fn session_platform_holds_only_written_pages() {
     );
     p.reset();
     assert_eq!(p.machine.mem.resident_pages(), 0, "after reset");
+}
+
+const STEP_CTX: StepCtx = StepCtx {
+    session: 1,
+    now_req: 2,
+    handshake_ttl: 1 << 20,
+};
+
+/// Takes the RA enclave `e` on `p` through the handshake (begin, then
+/// key confirmation with the tag a verifying client derives) and returns
+/// the established session's state.
+fn establish(p: &mut Platform, e: &Enclave, nonce: [u32; 4]) -> AttestedState {
+    let vs = VerifierSession::new(nonce, 0xabcd, 0x1234);
+    let quote = Attested::begin(p, e, 1, &nonce, vs.share).unwrap();
+    let seed = ServiceConfig::default().platform.seed;
+    let est = Verifier::new(
+        &device_attest_key(seed),
+        measure_image(&Attested::image(), 1),
+    )
+    .check_quote(&vs, &to_quote(&quote))
+    .expect("genuine quote must verify");
+    let mut state = Attested::open(1);
+    let confirm = AttestedStep::Confirm { tag: est.confirm.0 };
+    let (res, _) = Attested::step(&mut state, p, e, confirm, &STEP_CTX);
+    assert_eq!(res.unwrap(), Response::SessionEstablished);
+    state
+}
+
+/// One MAC'd send on an established session.
+fn send(p: &mut Platform, e: &Enclave, state: &mut AttestedState, round: u32) {
+    let payload = [0x5e4d_0000 | round; 8];
+    let (res, _) = Attested::step(state, p, e, AttestedStep::Send { payload }, &STEP_CTX);
+    assert!(
+        matches!(res, Ok(Response::AttestedTag { .. })),
+        "send {round}: {res:?}"
+    );
+}
+
+/// A resident session re-enters its enclave warm: the monitor flushes
+/// the TLB on every entry, and the compiled guest code survives it. After
+/// begin, confirm and one send, every later send builds no superblock and
+/// promotes no micro-op trace, and the platform at rest holds no more
+/// blocks after the tenth send than after the first. Counts only, no
+/// timing.
+#[test]
+fn resident_session_sends_reuse_compiled_code() {
+    let mut p = Platform::with_config(ServiceConfig::default().platform);
+    let e = p.load(&Attested::image()).unwrap();
+    let mut state = establish(&mut p, &e, [0xc0de_0001; 4]);
+    send(&mut p, &e, &mut state, 0);
+    let after_first = p.machine.accel.cached_blocks();
+    assert!(after_first > 0, "the send compiled nothing");
+    for round in 1..10 {
+        let before = p.machine.superblock_stats();
+        send(&mut p, &e, &mut state, round);
+        let after = p.machine.superblock_stats();
+        assert_eq!(after.built, before.built, "send {round} built blocks");
+        assert_eq!(
+            after.uop_promoted, before.uop_promoted,
+            "send {round} promoted traces"
+        );
+        assert!(after.hits > before.hits, "send {round} ran no block");
+    }
+    assert!(
+        p.machine.accel.cached_blocks() <= after_first,
+        "{} blocks after the tenth send, {after_first} after the first",
+        p.machine.accel.cached_blocks()
+    );
+}
+
+/// The code cache's growth is bounded by one run's working set: two RA
+/// enclaves on one platform, run alternately, leave the platform holding
+/// at most the larger of the two single-enclave working sets after every
+/// run, because each run's return to the normal world trims the cache to
+/// what that run used.
+#[test]
+fn alternating_enclaves_hold_one_working_set() {
+    let cfg = ServiceConfig::default().platform;
+    let working_set = |nonce: [u32; 4]| {
+        let mut p = Platform::with_config(cfg.clone());
+        let e = p.load(&Attested::image()).unwrap();
+        let mut state = establish(&mut p, &e, nonce);
+        send(&mut p, &e, &mut state, 0);
+        p.machine.accel.cached_blocks()
+    };
+    let (na, nb) = ([0xa11c_e000; 4], [0x0b0b_0000; 4]);
+    let bound = working_set(na).max(working_set(nb));
+    let mut p = Platform::with_config(cfg);
+    let a = p.load(&Attested::image()).unwrap();
+    let b = p.load(&Attested::image()).unwrap();
+    let mut sa = establish(&mut p, &a, na);
+    let mut sb = establish(&mut p, &b, nb);
+    for round in 0..20 {
+        let (e, s) = if round % 2 == 0 {
+            (&a, &mut sa)
+        } else {
+            (&b, &mut sb)
+        };
+        send(&mut p, e, s, round);
+        let held = p.machine.accel.cached_blocks();
+        assert!(
+            held <= bound,
+            "run {round}: {held} blocks cached, single-enclave bound {bound}"
+        );
+    }
 }
 
 /// Satellite: forged-quote rejection, end to end — a genuine quote from

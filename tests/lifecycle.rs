@@ -317,19 +317,47 @@ fn native_process_isolated_from_enclave() {
             (m.reg(Reg::R(0)) == 0).then(|| m.reg(Reg::R(1)))
         }
     }
+    // `(name, fetch accelerator, superblocks, micro-op traces)`: the
+    // host-side caches must keep the two address spaces apart too, in
+    // every stepping configuration.
+    const TIERS: [(&str, bool, bool, bool); 4] = [
+        ("uop", true, true, true),
+        ("superblock", true, true, false),
+        ("accel-only", true, false, false),
+        ("baseline", false, false, false),
+    ];
     for always_flush_tlb in [true, false] {
-        let mut p = platform();
-        p.monitor.always_flush_tlb = always_flush_tlb;
-        let e = p.load(&progs::secret_keeper()).unwrap();
-        p.run(&e, 0, [0, 0xfeed, 0]);
-        let np = p.load_native(&progs::adder());
-        let r = np.run(&mut p.machine, &p.os, &mut ExitOnly, [1, 2, 0], 100_000);
-        assert_eq!(r, komodo_os::native::NativeRun::Exited(3));
-        assert_eq!(
-            p.run(&e, 0, [1, 0, 0]),
-            EnclaveRun::Exited(0xfeed),
-            "always_flush_tlb = {always_flush_tlb}"
-        );
+        let mut finals = Vec::new();
+        for (tier, accel, superblocks, uops) in TIERS {
+            let mut p = platform();
+            p.machine.set_fetch_accel(accel);
+            p.machine.set_superblocks(superblocks);
+            p.machine.set_uop_traces(uops);
+            p.monitor.always_flush_tlb = always_flush_tlb;
+            let e = p.load(&progs::secret_keeper()).unwrap();
+            p.run(&e, 0, [0, 0xfeed, 0]);
+            let np = p.load_native(&progs::adder());
+            let r = np.run(&mut p.machine, &p.os, &mut ExitOnly, [1, 2, 0], 100_000);
+            assert_eq!(r, komodo_os::native::NativeRun::Exited(3));
+            let exit = p.run(&e, 0, [1, 0, 0]);
+            assert_eq!(
+                exit,
+                EnclaveRun::Exited(0xfeed),
+                "always_flush_tlb = {always_flush_tlb}, tier {tier}"
+            );
+            finals.push((tier, exit, p.machine));
+        }
+        let (_, base_exit, base) = finals.last().unwrap();
+        for (tier, exit, m) in &finals {
+            assert_eq!(
+                exit, base_exit,
+                "always_flush_tlb = {always_flush_tlb}, tier {tier}"
+            );
+            assert!(
+                m == base,
+                "always_flush_tlb = {always_flush_tlb}: tier {tier}'s machine diverged from baseline"
+            );
+        }
     }
 }
 

@@ -97,8 +97,8 @@ fn concrete_confidentiality_under_attack() {
     for _ in 0..3 {
         attack_round(&mut p1, &e1);
         attack_round(&mut p2, &e2);
-        let v1 = adversary_view(&mut p1.machine, &p1.monitor.layout);
-        let v2 = adversary_view(&mut p2.machine, &p2.monitor.layout);
+        let v1 = adversary_view(&p1.machine, &p1.monitor.layout);
+        let v2 = adversary_view(&p2.machine, &p2.monitor.layout);
         assert_eq!(v1, v2, "attack round distinguished the secrets");
         assert_eq!(p1.cycles(), p2.cycles(), "timing distinguished the secrets");
     }

@@ -247,14 +247,14 @@ fn shared_pages_are_the_only_channel() {
     let e2 = p2.load(&progs::secret_keeper()).unwrap();
     p1.run(&e1, 0, [0, 1, 0]);
     p2.run(&e2, 0, [0, 2, 0]);
-    let v1 = komodo_ni::concrete::adversary_view(&mut p1.machine, &p1.monitor.layout);
-    let v2 = komodo_ni::concrete::adversary_view(&mut p2.machine, &p2.monitor.layout);
+    let v1 = komodo_ni::concrete::adversary_view(&p1.machine, &p1.monitor.layout);
+    let v2 = komodo_ni::concrete::adversary_view(&p2.machine, &p2.monitor.layout);
     assert_eq!(v1, v2);
     // Whereas with a shared page, the enclave can (legitimately) talk.
     let e3 = p1.load(&progs::echo()).unwrap();
     p1.write_shared(&e3, 1, 0, &[9]);
     p1.run(&e3, 0, [1, 0, 0]);
-    let v3 = komodo_ni::concrete::adversary_view(&mut p1.machine, &p1.monitor.layout);
+    let v3 = komodo_ni::concrete::adversary_view(&p1.machine, &p1.monitor.layout);
     assert_ne!(v1, v3);
 }
 
