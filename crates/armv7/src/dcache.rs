@@ -35,24 +35,25 @@
 //! entry: decoded pages are keyed by physical page, so a changed mapping
 //! cannot make one stale (see *Code cache across enclave entries*).
 //!
-//! # Superblocks
+//! # Compiled blocks
 //!
-//! On top of the decode cache sits a **superblock engine**: straight-line
-//! traces of predecoded `(insn, cond)` entries, formed at a hot fetch and
-//! ending at the first branch, PC-writing instruction, unhandled
-//! exception source, or page boundary. Single-register loads and stores
-//! are **memory-inclusive**: they ride inside the trace, executed through
-//! the software data-TLB ([`crate::dtlb::DataTlb`]) hit path, with any
-//! hazard stopping the block at an exactly-retired prefix. A trace is
-//! validated **once** at entry (`(VA page, world, TTBR0, generation,
-//! translation epoch, alignment)` — the same facts the per-instruction
-//! hot path re-checks every step) and then executed in a tight loop by
-//! `Machine::run_user`, with the TLB-hit / memory-read / cycle accounting
-//! batched per block so the architecturally visible counters stay
-//! bit-for-bit identical to per-instruction stepping (see `Block` for the
-//! admission rules that make this sound). Blocks chain: each records the
-//! block id its fall-through and taken-branch exits last dispatched to,
-//! so steady-state loops skip even the hash probe. Invalidation rides the
+//! On top of the decode cache sits a **block engine**: straight-line runs
+//! of decoded instructions, formed at a fetch and ending at the first
+//! branch, PC-writing instruction, unhandled exception source, or page
+//! boundary, each compiled into a micro-op trace ([`crate::uop`]) in the
+//! same step that forms it. Single-register loads and stores are
+//! **memory-inclusive**: they ride inside the trace, executed through
+//! per-site translations refilled from the software data-TLB
+//! ([`crate::dtlb::DataTlb`]), with any hazard stopping the trace at an
+//! exactly-retired prefix. A block is validated **once** at entry
+//! (`(VA page, world, TTBR0, generation, translation epoch, alignment)` —
+//! the same facts the per-instruction hot path re-checks every step) and
+//! its trace then runs with the TLB-hit / memory-read / cycle accounting
+//! batched, so the architecturally visible counters stay bit-for-bit
+//! identical to per-instruction stepping (see `Block` for the admission
+//! rules that make this sound). Blocks chain: each records the block id
+//! its fall-through and taken-branch exits last dispatched to, so
+//! steady-state loops skip even the hash probe. Invalidation rides the
 //! existing generation mechanism — a bumped generation (guest store or
 //! `mon_write` into a watched code page) kills every block along with the
 //! decoded pages they were built from.
@@ -80,17 +81,17 @@
 //!
 //! Until both hold the dispatcher stays on the per-instruction path; it
 //! never builds over a block that is merely unconfirmed. Confirming a
-//! block resets its micro-op trace's per-site data translations, which
-//! were formed in an earlier epoch, and the micro-op runner hops only
-//! into blocks confirmed in the current epoch. The decoded page a block
+//! block resets its trace's per-site data translations, which were
+//! formed in an earlier epoch, and the micro-op runner hops only into
+//! blocks confirmed in the current epoch. The decoded page a block
 //! came from stays cached, and so stays under the code write-watch, for
 //! as long as the block lives.
 //!
 //! Footprint: when a secure-world run returns to the normal world,
 //! `FetchAccel::trim` keeps only the blocks and decoded pages used since
-//! that run began, so a platform at rest holds one run's working set. The
-//! toggles (`Machine::set_fetch_accel`, `set_superblocks`, `set_uops`)
-//! still drop everything.
+//! that run began, so a platform at rest holds one run's working set.
+//! Switching the accelerator (`Machine::set_fetch_accel`) still drops
+//! everything.
 
 use crate::decode::decode;
 use crate::fxhash::FxHashMap;
@@ -98,7 +99,7 @@ use crate::insn::{Cond, Insn};
 use crate::machine::cost;
 use crate::mem::{AccessAttrs, PhysMem};
 use crate::mode::World;
-use crate::uop::UopTrace;
+use crate::uop::{UopEnd, UopTrace};
 use crate::word::{page_base, page_offset, word_aligned, Addr, Word, WORD_BYTES};
 use komodo_trace::{Event, FlightRecorder, InvalCause};
 
@@ -196,26 +197,7 @@ struct HotFetch {
     attrs: AccessAttrs,
 }
 
-/// How a superblock's straight-line body ends.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum BlockEnd {
-    /// A direct `B`/`BL`: the target is static, so the branch itself is
-    /// part of the block (taken → `target`, not taken → fall through).
-    Branch {
-        /// The branch's condition field.
-        cond: Cond,
-        /// Absolute taken-branch target (`va + 8 + offset*4`).
-        target: Addr,
-        /// `BL`: write the return address to `LR` when taken.
-        link: bool,
-    },
-    /// The next instruction is not block-safe (potential exception source,
-    /// indirect control flow, memory access) or the page ended; execution
-    /// falls through to the per-instruction path.
-    Fallthrough,
-}
-
-/// Which way the last dispatched superblock exited — the key under which
+/// Which way the last dispatched block exited — the key under which
 /// its successor link is recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ExitKind {
@@ -225,23 +207,24 @@ pub(crate) enum ExitKind {
     Taken = 1,
 }
 
-/// A superblock: a predecoded straight-line trace.
+/// A block: a straight-line run of decoded instructions, held as its
+/// compiled micro-op trace.
 ///
 /// Admission rules (checked at build time, from the already-validated
 /// decode cache): the body holds instructions that cannot touch the PC —
 /// data-processing, multiply, `MOVW`/`MOVT`, `MRS`, and single-register
 /// loads/stores (decode maps any PC-involving form to [`Insn::Unknown`],
 /// which is never admitted). `LDM`/`STM`, `BX`, `SVC` and every
-/// privileged/undefined instruction terminate the trace *before*
+/// privileged/undefined instruction terminate the block *before*
 /// themselves; a direct `B`/`BL` terminates it *inclusively* (its target
-/// is static). A trace holds at least two instructions, or is a lone
-/// direct branch with an empty body (which promoted traces chain
-/// through). ALU-class body instructions can neither fault nor write
-/// memory; loads/stores *can*, so the runner executes them only through
-/// the data-TLB hit path and otherwise stops the block at the retired
-/// prefix, falling back to exact per-instruction stepping (see
+/// is static). A block holds at least two instructions, or is a lone
+/// direct branch with an empty body (which linked traces chain through).
+/// ALU-class body instructions can neither fault nor write memory;
+/// loads/stores *can*, so the runner executes them only through the
+/// data-TLB hit path and otherwise stops the trace at the retired prefix,
+/// falling back to exact per-instruction stepping (see
 /// `Machine::step_superblock`). A store that bumps the code generation
-/// retires and then stops the block the same way, so the generation
+/// retires and then stops the trace the same way, so the generation
 /// validated at entry never moves under instructions executed from the
 /// trace.
 #[derive(Clone, Debug)]
@@ -251,7 +234,7 @@ pub(crate) struct Block {
     pub(crate) entry_va: Addr,
     pub(crate) world: World,
     pub(crate) ttbr0: Addr,
-    /// The physical page the body was decoded from, and the bus
+    /// The physical page the block was decoded from, and the bus
     /// attributes its fetch carried: what a later epoch's translation of
     /// the entry page must resolve to again before the block may run.
     pub(crate) pa_page: Addr,
@@ -259,10 +242,6 @@ pub(crate) struct Block {
     /// The translation epoch the block was built or last confirmed in. It
     /// runs (by dispatch or by a linked hop) only in that epoch.
     pub(crate) epoch: u64,
-    /// The straight-line body (condition fields pre-extracted).
-    pub(crate) body: Box<[(Insn, Cond)]>,
-    /// How the trace ends.
-    pub(crate) end: BlockEnd,
     /// Upper bound on the cycles one execution of the block can charge
     /// (every condition assumed true, branch assumed taken). Used to hoist
     /// the interrupt-wake compare out of the block: if
@@ -275,15 +254,11 @@ pub(crate) struct Block {
     /// dispatcher, or by the micro-op runner before it hops), so a stale
     /// link costs a hash probe, never correctness.
     pub(crate) succ: [Option<u32>; 2],
-    /// Dispatch hits since the block was built or last confirmed in a new
-    /// epoch; crossing the promotion threshold triggers one-time micro-op
-    /// specialisation.
-    pub(crate) hot: u64,
-    /// The specialised micro-op trace, once promoted. Lives as long as
-    /// the block, across translation epochs; confirming the block in a
-    /// new epoch resets the trace's per-site data translations, so it
-    /// needs no re-validation beyond the block's own.
-    pub(crate) uop: Option<Box<UopTrace>>,
+    /// The compiled trace: the block's only executable form, built with
+    /// it and living as long as it, across translation epochs. Confirming
+    /// the block in a new epoch resets the trace's per-site data
+    /// translations, so it needs no re-validation beyond the block's own.
+    pub(crate) trace: UopTrace,
 }
 
 /// Index sentinel: "no worthwhile block starts at this address" (the entry
@@ -291,18 +266,12 @@ pub(crate) struct Block {
 /// rejected with one probe instead of a rebuild attempt per dispatch.
 const NO_BLOCK: u32 = u32::MAX;
 
-/// Default dispatch-hit count at which a superblock is promoted to a
-/// specialised micro-op trace. High enough that cold traces never pay
-/// the one-time specialisation cost, low enough that a loop of any
-/// interesting trip count runs specialised almost immediately.
-const DEFAULT_UOP_THRESHOLD: u64 = 16;
-
-/// Superblock-engine statistics, surfaced through
+/// Block-engine statistics, surfaced through
 /// [`crate::Machine::superblock_stats`]. Host-side only — never part of
 /// architectural state or machine equality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SbStats {
-    /// Traces built from decoded pages.
+    /// Blocks built from decoded pages, each compiled to its trace.
     pub built: u64,
     /// Dispatches served from the block cache (including chained ones).
     pub hits: u64,
@@ -312,13 +281,13 @@ pub struct SbStats {
     /// current one (each also counts as a dispatch hit in `hits`).
     pub revalidated: u64,
     /// Whole-cache invalidations caused by a code-generation bump (a store
-    /// — guest, monitor, or in-block — landed in a watched code page).
+    /// — guest, monitor, or in-trace — landed in a watched code page).
     pub inval_code_gen: u64,
-    /// Whole-cache invalidations caused by an accelerator toggle. The TLB
-    /// machinery (`tlb_flush`, `load_ttbr0`, page-table stores) no longer
-    /// drops blocks: it starts a new translation epoch, in which kept
-    /// blocks are confirmed before they run.
-    pub inval_tlb: u64,
+    /// Whole-cache invalidations caused by switching the accelerator on
+    /// or off. The TLB machinery (`tlb_flush`, `load_ttbr0`, page-table
+    /// stores) does not drop blocks: it starts a new translation epoch,
+    /// in which kept blocks are confirmed before they run.
+    pub inval_toggle: u64,
     /// Data-TLB lookups served (from [`crate::dtlb::DataTlb`], merged in
     /// by [`crate::Machine::superblock_stats`]).
     pub dtlb_hits: u64,
@@ -326,41 +295,35 @@ pub struct SbStats {
     pub dtlb_misses: u64,
     /// Data-TLB whole-cache invalidations across all causes.
     pub dtlb_invalidations: u64,
-    /// Hot superblocks promoted to specialised micro-op traces.
-    pub uop_promoted: u64,
-    /// Dispatches executed through a specialised micro-op trace: one per
-    /// runner call that retired at least one instruction, plus one per
-    /// hop that call made (see `uop_linked`).
+    /// Dispatches executed through a micro-op trace: one per runner call
+    /// that retired at least one instruction, plus one per hop that call
+    /// made (see `uop_linked`).
     pub uop_hits: u64,
     /// Successor links the micro-op runner followed straight into the
-    /// next promoted trace without returning to the dispatcher (linked
+    /// next trace without returning to the dispatcher (linked
     /// chaining; a self-loop is a link back to the same trace). Each hop
     /// also counts as a chained dispatch hit in `hits`, `chained` and
     /// `uop_hits`, exactly as the dispatch it replaces would have.
     pub uop_linked: u64,
-    /// Whole-cache invalidations that dropped at least one specialised
-    /// trace (micro-op traces die with their superblocks, which a
-    /// translation-epoch change does not drop).
-    pub uop_invalidations: u64,
 }
 
 impl SbStats {
-    /// Total superblock-cache invalidations across both causes.
+    /// Total block-cache invalidations across both causes.
     pub fn invalidations(&self) -> u64 {
-        self.inval_code_gen + self.inval_tlb
+        self.inval_code_gen + self.inval_toggle
     }
 }
 
-/// Why the superblock cache is being dropped (statistics attribution).
+/// Why the block cache is being dropped (statistics attribution).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SbInvalCause {
     /// The code generation moved: some store hit a watched code page.
     CodeGen,
-    /// An accelerator toggle (counted in [`SbStats::inval_tlb`]).
+    /// An accelerator toggle (counted in [`SbStats::inval_toggle`]).
     Toggle,
 }
 
-/// The block cache (see the module docs' *Superblocks* section).
+/// The block cache (see the module docs' *Compiled blocks* section).
 #[derive(Clone, Debug, Default)]
 struct SbCache {
     blocks: Vec<Block>,
@@ -392,12 +355,6 @@ pub struct FetchAccel {
     /// The epoch the first secure-world run since the last trim began in;
     /// `None` when no such run has happened, which makes a trim a no-op.
     trim_from: Option<u64>,
-    /// Whether the superblock engine runs on top of the decode cache.
-    sb_enabled: bool,
-    /// Whether hot superblocks are promoted to micro-op traces.
-    uop_enabled: bool,
-    /// Dispatch hits before a superblock is specialised.
-    uop_threshold: u64,
     sb: SbCache,
     /// Host-side statistics: fetches served from the decode cache.
     served: u64,
@@ -415,9 +372,6 @@ impl FetchAccel {
             hot: None,
             epoch: 0,
             trim_from: None,
-            sb_enabled: true,
-            uop_enabled: true,
-            uop_threshold: DEFAULT_UOP_THRESHOLD,
             sb: SbCache::default(),
             served: 0,
             fills: 0,
@@ -435,10 +389,10 @@ impl FetchAccel {
         self.enabled = on;
     }
 
-    /// Drops every cached page, the translation entry, and all
-    /// superblocks (a toggle invalidation; generation bumps are detected
-    /// lazily in `FetchAccel::sb_dispatch` and `FetchAccel::fetch`, and a
-    /// TLB flush only starts a new epoch, see `FetchAccel::new_epoch`).
+    /// Drops every cached page, the translation entry, and all blocks (a
+    /// toggle invalidation; generation bumps are detected lazily in
+    /// `FetchAccel::sb_dispatch` and `FetchAccel::fetch`, and a TLB flush
+    /// only starts a new epoch, see `FetchAccel::new_epoch`).
     pub fn invalidate(&mut self) {
         self.dcache.clear();
         self.fetch_tc = None;
@@ -539,54 +493,17 @@ impl FetchAccel {
         }
     }
 
-    /// Whether the superblock engine is active (requires the accelerator
-    /// itself to be enabled).
-    pub fn superblocks_enabled(&self) -> bool {
-        self.enabled && self.sb_enabled
-    }
-
-    /// Turns the superblock engine on or off, dropping all blocks either
-    /// way. Off leaves the PR-1 accelerator layers (decode cache, fused
-    /// hot fetch, translation caches) intact — used by the differential
-    /// tests and benchmarks to isolate the engine's contribution.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.sb_enabled = on;
-        self.sb_invalidate(SbInvalCause::Toggle);
-    }
-
-    /// Whether the micro-op specialisation tier is active (requires the
-    /// superblock engine, and therefore the accelerator, to be enabled).
-    pub fn uops_enabled(&self) -> bool {
-        self.superblocks_enabled() && self.uop_enabled
-    }
-
-    /// Turns the micro-op tier on or off, dropping all blocks either way
-    /// (their specialised traces die with them). Off leaves the
-    /// superblock engine itself running — used by the differential tests
-    /// and benchmarks to isolate the tier's contribution.
-    pub fn set_uops(&mut self, on: bool) {
-        self.uop_enabled = on;
-        self.sb_invalidate(SbInvalCause::Toggle);
-    }
-
-    /// Sets the promotion threshold: dispatch hits a superblock must
-    /// accumulate before it is specialised (clamped to at least 1; the
-    /// differential tests lower it to force promotion quickly).
-    pub fn set_uop_threshold(&mut self, hits: u64) {
-        self.uop_threshold = hits.max(1);
-    }
-
-    /// Superblock-engine statistics.
+    /// Block-engine statistics.
     pub fn sb_stats(&self) -> SbStats {
         self.sb.stats
     }
 
-    /// Number of superblocks currently cached.
+    /// Number of blocks currently cached.
     pub fn cached_blocks(&self) -> usize {
         self.sb.blocks.len()
     }
 
-    /// Whether a superblock invalidation would be *counted* (blocks or
+    /// Whether a block-cache invalidation would be *counted* (blocks or
     /// index entries are cached) — the condition under which the machine
     /// records an `sb-inval` trace event, keeping events 1:1 with the
     /// statistics.
@@ -594,58 +511,18 @@ impl FetchAccel {
         !self.sb.blocks.is_empty() || !self.sb.index.is_empty()
     }
 
-    /// Whether any cached superblock carries a specialised micro-op
-    /// trace — the condition under which an invalidation is counted (and
-    /// trace-evented) as a uop invalidation, keeping events 1:1 with the
-    /// statistics.
-    pub(crate) fn sb_has_uops(&self) -> bool {
-        self.sb.blocks.iter().any(|b| b.uop.is_some())
-    }
-
-    /// Drops every superblock and the chain source, attributing the drop
-    /// to `cause` (counted only when something was actually cached).
+    /// Drops every block and the chain source, attributing the drop to
+    /// `cause` (counted only when something was actually cached).
     fn sb_invalidate(&mut self, cause: SbInvalCause) {
-        if self.sb_has_uops() {
-            self.sb.stats.uop_invalidations += 1;
-        }
-        if !self.sb.blocks.is_empty() || !self.sb.index.is_empty() {
+        if self.sb_has_cached() {
             match cause {
                 SbInvalCause::CodeGen => self.sb.stats.inval_code_gen += 1,
-                SbInvalCause::Toggle => self.sb.stats.inval_tlb += 1,
+                SbInvalCause::Toggle => self.sb.stats.inval_toggle += 1,
             }
         }
         self.sb.blocks.clear();
         self.sb.index.clear();
         self.sb.last = None;
-    }
-
-    /// Counts one dispatch hit against block `id` and specialises it
-    /// into a micro-op trace once it crosses the promotion threshold.
-    /// Called from the two cache-hit paths in [`FetchAccel::sb_dispatch`]
-    /// — builds don't count, so a trace invalidated every dispatch never
-    /// pays the specialisation cost.
-    fn sb_promote_if_hot(&mut self, id: u32, trace: &mut FlightRecorder, cycle: u64) {
-        if !self.uop_enabled {
-            return;
-        }
-        let b = &mut self.sb.blocks[id as usize];
-        if b.uop.is_some() {
-            return;
-        }
-        b.hot += 1;
-        if b.hot < self.uop_threshold {
-            return;
-        }
-        let t = crate::uop::specialise(b);
-        trace.record(
-            cycle,
-            Event::UopPromote {
-                entry_va: b.entry_va,
-                len: t.body.len() as u32,
-            },
-        );
-        b.uop = Some(Box::new(t));
-        self.sb.stats.uop_promoted += 1;
     }
 
     /// Counts one micro-op runner call that retired instructions: the
@@ -661,7 +538,7 @@ impl FetchAccel {
         s.uop_linked += hops;
     }
 
-    /// Looks up (or builds) the superblock entered at `pc` under
+    /// Looks up (or builds) the block entered at `pc` under
     /// `(world, ttbr0)`, with `gen_now` the current `PhysMem::code_gen`.
     /// Returns its id, or `None` to stay on the per-instruction path.
     ///
@@ -683,7 +560,7 @@ impl FetchAccel {
         trace: &mut FlightRecorder,
         cycle: u64,
     ) -> Option<u32> {
-        if !self.enabled || !self.sb_enabled {
+        if !self.enabled {
             return None;
         }
         if self.sb.gen != gen_now {
@@ -693,14 +570,6 @@ impl FetchAccel {
                 trace.record(
                     cycle,
                     Event::SbInval {
-                        cause: InvalCause::CodeGen,
-                    },
-                );
-            }
-            if self.sb_has_uops() {
-                trace.record(
-                    cycle,
-                    Event::UopInval {
                         cause: InvalCause::CodeGen,
                     },
                 );
@@ -716,7 +585,6 @@ impl FetchAccel {
                 {
                     self.sb.stats.hits += 1;
                     self.sb.stats.chained += 1;
-                    self.sb_promote_if_hot(id, trace, cycle);
                     return Some(id);
                 }
             }
@@ -752,7 +620,6 @@ impl FetchAccel {
                     self.sb_build(pc, world, ttbr0, gen_now, Some(id), trace, cycle)?
                 } else {
                     self.sb.stats.hits += 1;
-                    self.sb_promote_if_hot(id, trace, cycle);
                     id
                 }
             }
@@ -767,27 +634,22 @@ impl FetchAccel {
     }
 
     /// Confirms block `id`, kept from an earlier translation epoch, in the
-    /// current one. Its micro-op trace's per-site data translations were
-    /// formed in an earlier epoch, so they are reset: each site refills
-    /// from the data-TLB, which holds only this epoch's translations. An
-    /// unpromoted block's hit count restarts too, so promotion stays what
-    /// it is without the code cache: a block dispatched often within one
-    /// epoch, not one that ran a few times on each of many entries.
+    /// current one. Its trace's per-site data translations were formed in
+    /// an earlier epoch, so they are reset: each site refills from the
+    /// data-TLB, which holds only this epoch's translations.
     fn sb_confirm(&mut self, id: u32) {
         let b = &mut self.sb.blocks[id as usize];
         b.epoch = self.epoch;
-        b.hot = 0;
-        if let Some(u) = &b.uop {
-            for site in u.sites.iter() {
-                site.set(None);
-            }
+        for site in b.trace.sites.iter() {
+            site.set(None);
         }
         self.sb.stats.revalidated += 1;
     }
 
-    /// Forms a trace starting at `pc` from the decoded page the hot-fetch
-    /// entry points at (see [`Block`] for the admission rules), in the
-    /// slot `slot` when it replaces a block at the same VA.
+    /// Forms a block starting at `pc` from the decoded page the hot-fetch
+    /// entry points at (see [`Block`] for the admission rules) and
+    /// compiles it into its micro-op trace, in the slot `slot` when it
+    /// replaces a block at the same VA.
     #[allow(clippy::too_many_arguments)]
     fn sb_build(
         &mut self,
@@ -813,18 +675,18 @@ impl FetchAccel {
         }
         let page = &self.dcache.pages[h.idx];
         let start = (page_offset(pc) / WORD_BYTES) as usize;
-        let mut body = Vec::new();
+        let mut len = 0;
         let mut max_charge = 0u64;
-        let mut end = BlockEnd::Fallthrough;
-        for &(_, insn, cond) in &page.entries[start..] {
+        let mut end = UopEnd::Fall;
+        for &(_, insn, _) in &page.entries[start..] {
             match insn {
                 Insn::Dp { .. } | Insn::Movw { .. } | Insn::Movt { .. } | Insn::Mrs { .. } => {
                     max_charge += cost::INSN;
-                    body.push((insn, cond));
+                    len += 1;
                 }
                 Insn::Mul { .. } => {
                     max_charge += cost::INSN + cost::MUL;
-                    body.push((insn, cond));
+                    len += 1;
                 }
                 // Single-register loads/stores are memory-inclusive: the
                 // runner executes them through the data-TLB hit path and
@@ -833,11 +695,11 @@ impl FetchAccel {
                 // watched-page store) — see `Machine::step_superblock`.
                 Insn::Ldr { .. } | Insn::Str { .. } => {
                     max_charge += cost::INSN + cost::MEM;
-                    body.push((insn, cond));
+                    len += 1;
                 }
                 Insn::B { cond, offset } | Insn::Bl { cond, offset } => {
-                    let va = pc.wrapping_add(body.len() as u32 * WORD_BYTES);
-                    end = BlockEnd::Branch {
+                    let va = pc.wrapping_add(len as u32 * WORD_BYTES);
+                    end = UopEnd::Branch {
                         cond,
                         target: va
                             .wrapping_add(8)
@@ -848,15 +710,15 @@ impl FetchAccel {
                     break;
                 }
                 // Anything that can fault, write memory, or redirect the
-                // PC ends the trace *before* itself.
+                // PC ends the block *before* itself.
                 _ => break,
             }
         }
-        let with_branch = matches!(end, BlockEnd::Branch { .. });
-        if !with_branch && body.len() < 2 {
+        let with_branch = matches!(end, UopEnd::Branch { .. });
+        if !with_branch && len < 2 {
             // Too short to beat per-insn dispatch; remember that. A lone
-            // direct branch is admitted: once promoted, linked chains run
-            // through it instead of returning to the dispatcher.
+            // direct branch is admitted: linked chains run through it
+            // instead of returning to the dispatcher.
             self.sb.index.insert(pc, NO_BLOCK);
             return None;
         }
@@ -864,7 +726,7 @@ impl FetchAccel {
             cycle,
             Event::SbBuild {
                 entry_va: pc,
-                len: (body.len() + with_branch as usize) as u32,
+                len: (len + with_branch as usize) as u32,
             },
         );
         let block = Block {
@@ -874,12 +736,9 @@ impl FetchAccel {
             pa_page: h.pa_page,
             attrs: h.attrs,
             epoch: self.epoch,
-            body: body.into_boxed_slice(),
-            end,
             max_charge,
             succ: [None, None],
-            hot: 0,
-            uop: None,
+            trace: crate::uop::specialise(&page.entries[start..start + len], end),
         };
         let id = match slot {
             Some(id) => {
@@ -906,8 +765,8 @@ impl FetchAccel {
     }
 
     /// Records how the dispatched block `id` exited after retiring
-    /// `insns` instructions. `None` (wake fallback or a mid-block
-    /// step-budget stop) breaks the chain.
+    /// `insns` instructions. `None` (a block that did not fit whole, or a
+    /// hazard stop mid-trace) breaks the chain.
     pub(crate) fn sb_note_exit(&mut self, id: u32, exit: Option<ExitKind>, insns: u64) {
         self.served += insns;
         self.sb.last = exit.map(|k| (id, k));

@@ -2,7 +2,7 @@
 //!
 //! [`Machine::translate_user`](crate::Machine::translate_user) pays a hash
 //! probe of the architectural [`Tlb`](crate::tlb::Tlb) map on every data
-//! access; the superblock engine cannot afford even that on its in-block
+//! access; compiled traces cannot afford even that on their in-trace
 //! memory fast path. [`DataTlb`] fronts the map with a small direct-mapped
 //! array keyed on `(VA page, world, TTBR0)`, holding the resolved
 //! [`Translation`], the physical frame, the bus attributes the access will
@@ -139,8 +139,8 @@ impl DataTlb {
     }
 
     /// Drops every entry, attributing the drop to `cause`. Counted only
-    /// when something was actually cached, mirroring the superblock
-    /// cache's convention.
+    /// when something was actually cached, mirroring the block cache's
+    /// convention.
     pub fn invalidate(&mut self, cause: DTlbInval) {
         if self.entries.iter().any(|e| e.is_some()) {
             match cause {
@@ -203,8 +203,9 @@ impl DataTlb {
         None
     }
 
-    /// The superblock engine's in-block probe: translation *and* verdict
-    /// in one step. Returns the physical address and bus attributes only
+    /// The in-trace probe that refills a memory site's translation:
+    /// translation *and* verdict in one step. Returns the physical
+    /// address and bus attributes only
     /// when the entry matches **and** its precomputed verdict admits the
     /// access kind; any other outcome — miss, stale context, or a verdict
     /// that would fault — returns `None`, forcing the caller onto the

@@ -8,7 +8,7 @@
 
 use crate::alu::{alu, alu_value, eval_op2, eval_op2_value, shift_value};
 use crate::cp15::FaultStatus;
-use crate::dcache::{Block, BlockEnd, ExitKind};
+use crate::dcache::{Block, ExitKind};
 use crate::decode::decode;
 use crate::dtlb::DataTlb;
 use crate::error::{MemFault, MemFaultKind};
@@ -146,6 +146,12 @@ impl Machine {
             self.accel.note_secure_run();
         }
         let mut steps_left = max_steps;
+        // Compiled blocks run only whole. Once a dispatched block does not
+        // fit in the remaining budget or before the wake deadline, the
+        // rest of the call steps per instruction: a trace cannot stop
+        // mid-body (see `step_superblock`), and dispatching again would
+        // only build suffix blocks for a tail shorter than one block.
+        let mut blocks = true;
         while steps_left > 0 {
             // Pending interrupts are taken before the next instruction;
             // FIQ has priority.
@@ -163,13 +169,17 @@ impl Machine {
                 self.first_user_insn_cycle = Some(self.cycles);
                 need_first_cycle = false;
             }
-            // Superblock fast path: a whole straight-line trace retires
-            // with one validation and batched accounting. `None` (no
-            // block, wake too close, engine off) falls through to the
-            // per-instruction step.
-            if let Some(n) = self.step_superblock(world, ttbr0, wake, steps_left) {
-                steps_left -= n;
-                continue;
+            // Block fast path: a whole compiled trace retires with one
+            // validation and batched accounting.
+            if blocks {
+                match self.step_superblock(world, ttbr0, wake, steps_left) {
+                    Dispatch::Ran(n) => {
+                        steps_left -= n;
+                        continue;
+                    }
+                    Dispatch::Step => {}
+                    Dispatch::Tail => blocks = false,
+                }
             }
             match self.step(world, ttbr0) {
                 StepOutcome::Continue => {}
@@ -180,61 +190,62 @@ impl Machine {
         Ok(ExitReason::StepLimit)
     }
 
-    /// Dispatches and executes one superblock at the current PC, returning
-    /// the number of instructions retired (`None` falls back to per-insn
-    /// stepping). Equivalence with `steps_left` per-instruction steps:
+    /// Dispatches the block at the current PC and runs its compiled trace
+    /// whole. Equivalence with per-instruction stepping:
     ///
-    /// - **Wake**: the per-insn loop compares `cycles >= wake` before every
-    ///   instruction. The block runs only if `cycles + max_charge < wake`;
-    ///   cycles grow monotonically, so every intermediate compare would
-    ///   also have been false — hoisting the compare is exact, and any
-    ///   block that *might* straddle the deadline is stepped individually.
-    /// - **Budget**: a block needing more steps than remain executes only
-    ///   the prefix `steps_left` covers (the ending branch counts as one
-    ///   step), leaving the PC mid-trace exactly where the per-insn loop
-    ///   would exhaust its budget.
+    /// - **Fit**: the per-insn loop compares `cycles >= wake` before every
+    ///   instruction and stops when the step budget runs out. The trace
+    ///   runs only if `cycles + max_charge < wake` and its `steps` fit in
+    ///   `steps_left`; cycles grow monotonically, so every intermediate
+    ///   wake compare would also have been false, and the budget cannot
+    ///   run out inside the trace. A block that does not fit returns
+    ///   [`Dispatch::Tail`]: a trace cannot stop at an arbitrary body
+    ///   entry, because dead-flag elimination leaves `CPSR` exact only at
+    ///   memory ops and at the exit (see [`crate::uop`]).
     /// - **Accounting**: each retired instruction pays one TLB hit, one
     ///   instruction read and `cost::INSN` — precisely the per-insn hot
     ///   path's charges (the build-time hot-fetch validation carries the
     ///   proof; see `FetchAccel::sb_build`) — plus `cost::MUL` per
     ///   *executed* multiply and `cost::BRANCH_TAKEN` for a taken ending
-    ///   branch, accumulated per instruction and added in one batch.
-    /// - **Memory** (the data-side fast path): an executed load/store pays
-    ///   one *additional* TLB hit and `cost::MEM`, and performs the actual
-    ///   `PhysMem` access (which bumps the read/write counters itself) —
-    ///   bit-for-bit the per-insn `user_load`/`user_store` accounting on
-    ///   their hit path. The TLB hit is sound for the same reason the
-    ///   fetch side's is: a data-TLB entry proves TLB residency (see
-    ///   `crate::dtlb`). The access is attempted *before* anything about
-    ///   the instruction is committed (a refused or faulting `PhysMem`
-    ///   access has no side effects), so on any hazard — data-TLB miss,
-    ///   permission refusal, misalignment, partially-backed page — the
-    ///   block stops at the already-retired prefix and the per-insn path
-    ///   replays the instruction from scratch: same translation (and TLB
-    ///   hit), same `cost::MEM` charge, same fault raised at the same
-    ///   state. A store that bumps the code generation (self-modifying
-    ///   code through the data path) retires, then stops the block the
-    ///   same way so no possibly-stale trace entry after it executes.
-    ///   A block stopping at a hazard before retiring anything returns
-    ///   `None` so the per-insn step guarantees progress (and refills the
-    ///   data-TLB); a lone-branch block's empty body is no such stop.
-    /// - **Micro-op traces**: a promoted block running whole-trace goes
-    ///   through `run_uop_trace`, which may hop into further promoted
-    ///   traces confirmed in the current translation epoch; each hop
-    ///   re-checks the first two points for its trace, so the retired
-    ///   count is what repeated dispatches would return.
+    ///   branch, accumulated by the runner and added in one batch.
+    /// - **Memory**: an executed load/store pays one *additional* TLB hit
+    ///   and `cost::MEM`, and performs the actual `PhysMem` access (which
+    ///   bumps the read/write counters itself) — bit-for-bit the per-insn
+    ///   `user_load`/`user_store` accounting on their hit path. The TLB
+    ///   hit is sound for the same reason the fetch side's is: a data-TLB
+    ///   entry proves TLB residency (see `crate::dtlb`). The access is
+    ///   attempted *before* anything about the instruction is committed
+    ///   (a refused or faulting `PhysMem` access has no side effects), so
+    ///   on any hazard — data-TLB miss, permission refusal, misalignment,
+    ///   partially-backed page — the trace stops at the already-retired
+    ///   prefix and the per-insn path replays the instruction from
+    ///   scratch: same translation (and TLB hit), same `cost::MEM` charge,
+    ///   same fault raised at the same state. A store that bumps the code
+    ///   generation (self-modifying code through the data path) retires,
+    ///   then stops the trace the same way so no possibly-stale micro-op
+    ///   after it executes. A trace stopping at a hazard before retiring
+    ///   anything returns [`Dispatch::Step`], so the per-insn step
+    ///   guarantees progress (and refills the data-TLB); a lone-branch
+    ///   block's empty body is no such stop.
+    /// - **Chaining**: `run_uop_trace` may hop into further traces
+    ///   confirmed in the current translation epoch; each hop re-checks
+    ///   the fit for its trace, so the retired count is what repeated
+    ///   dispatches would return.
     fn step_superblock(
         &mut self,
         world: World,
         ttbr0: Addr,
         wake: u64,
         steps_left: u64,
-    ) -> Option<u64> {
+    ) -> Dispatch {
         let gen_entry = self.mem.code_gen();
         let cycle_now = self.cycles;
-        let id =
+        let Some(id) =
             self.accel
-                .sb_dispatch(self.pc, world, ttbr0, gen_entry, &mut self.trace, cycle_now)?;
+                .sb_dispatch(self.pc, world, ttbr0, gen_entry, &mut self.trace, cycle_now)
+        else {
+            return Dispatch::Step;
+        };
         // Split borrows: the block stays shared-borrowed from the
         // accelerator while the disjoint architectural fields are mutated.
         let Machine {
@@ -249,153 +260,34 @@ impl Machine {
             ..
         } = self;
         let b = &accel.sb_blocks()[id as usize];
-        if *cycles + b.max_charge >= wake {
+        if b.trace.steps > steps_left || *cycles + b.max_charge >= wake {
             accel.sb_note_exit(id, None, 0);
-            return None;
+            return Dispatch::Tail;
         }
-        let n_body = b.body.len() as u64;
-        let has_branch = matches!(b.end, BlockEnd::Branch { .. });
-        let full = steps_left >= n_body + has_branch as u64;
-        // Specialised micro-op tier: once the block is promoted, the
-        // whole-trace case runs its specialised form instead of the
-        // generic body loop below. Only the whole-trace case — a partial
-        // step budget needs the prefix semantics of the generic loop,
-        // and `full` is computed from the *block's* body (fusion moves
-        // an instruction into the uop exit without changing how many
-        // steps the trace consumes). Hazard behaviour is identical: the
-        // runner stops at the exactly-retired prefix, and a first-op
-        // hazard returns `None` so the per-insn step makes progress. The
-        // runner may hop through successor links into further promoted
-        // traces; it reports the block it ended in as the chain source.
-        if full {
-            if let Some(u) = &b.uop {
-                let run = run_uop_trace(
-                    accel.sb_blocks(),
-                    id,
-                    u,
-                    gen_entry,
-                    wake - *cycles,
-                    steps_left,
-                    world,
-                    ttbr0,
-                    regs,
-                    cpsr,
-                    pc,
-                    mem,
-                    dtlb,
-                );
-                if run.retired == 0 {
-                    accel.sb_note_exit(id, None, 0);
-                    return None;
-                }
-                tlb.note_hits(run.retired + run.data_hits);
-                mem.note_reads(run.retired);
-                *cycles += run.retired * cost::INSN + run.extra;
-                accel.sb_note_uop_run(run.hops);
-                accel.sb_note_exit(run.last, run.exit, run.retired);
-                return Some(run.retired);
-            }
-        }
-        let n_exec = if full { n_body } else { steps_left.min(n_body) };
-        let mut extra = 0u64;
-        let mut data_hits = 0u64;
-        let mut n_ret = 0u64;
-        let mut stopped = false;
-        for &(insn, cond) in &b.body[..n_exec as usize] {
-            if cond_holds(*cpsr, cond) {
-                match insn {
-                    Insn::Ldr {
-                        rd, rn, off, byte, ..
-                    } => {
-                        let va = mem_ea_regs(regs, Mode::User, rn, off);
-                        let Some((pa, attrs)) = dtlb.lookup_data(va, world, ttbr0, false) else {
-                            stopped = true;
-                            break;
-                        };
-                        let r = if byte {
-                            mem.read_byte(pa, attrs).map(|v| v as Word)
-                        } else {
-                            mem.read(pa, attrs)
-                        };
-                        let Ok(v) = r else {
-                            stopped = true;
-                            break;
-                        };
-                        regs.set(Mode::User, rd, v);
-                        data_hits += 1;
-                        extra += cost::MEM;
-                    }
-                    Insn::Str {
-                        rd, rn, off, byte, ..
-                    } => {
-                        let va = mem_ea_regs(regs, Mode::User, rn, off);
-                        let Some((pa, attrs)) = dtlb.lookup_data(va, world, ttbr0, true) else {
-                            stopped = true;
-                            break;
-                        };
-                        let v = regs.get(Mode::User, rd);
-                        let r = if byte {
-                            mem.write_byte(pa, v as u8, attrs)
-                        } else {
-                            mem.write(pa, v, attrs)
-                        };
-                        if r.is_err() {
-                            stopped = true;
-                            break;
-                        }
-                        data_hits += 1;
-                        extra += cost::MEM;
-                        if mem.code_gen() != gen_entry {
-                            // The store landed in a watched code page: the
-                            // rest of this trace may be stale. Retire
-                            // through the store, then reconcile
-                            // per-instruction (the next dispatch sees the
-                            // bumped generation and rebuilds).
-                            n_ret += 1;
-                            stopped = true;
-                            break;
-                        }
-                    }
-                    _ => extra += exec_straightline(regs, cpsr, Mode::User, insn),
-                }
-            }
-            n_ret += 1;
-        }
-        if stopped && n_ret == 0 {
-            // First instruction hit a data hazard: no progress was made.
-            // Fall back so the per-insn step performs the access — or
-            // raises its fault — with exact accounting. (A lone-branch
-            // block has an empty body: it retires its branch below.)
+        let run = run_uop_trace(
+            accel.sb_blocks(),
+            id,
+            gen_entry,
+            wake - *cycles,
+            steps_left,
+            world,
+            ttbr0,
+            regs,
+            cpsr,
+            pc,
+            mem,
+            dtlb,
+        );
+        if run.retired == 0 {
             accel.sb_note_exit(id, None, 0);
-            return None;
+            return Dispatch::Step;
         }
-        *pc = pc.wrapping_add(n_ret as u32 * WORD_BYTES);
-        let mut retired = n_ret;
-        let mut exit = None;
-        if !stopped && n_ret == n_body && full {
-            exit = Some(ExitKind::Fall);
-            match b.end {
-                BlockEnd::Branch { cond, target, link } => {
-                    retired += 1;
-                    if cond_holds(*cpsr, cond) {
-                        extra += cost::BRANCH_TAKEN;
-                        if link {
-                            regs.set(Mode::User, Reg::Lr, pc.wrapping_add(WORD_BYTES));
-                        }
-                        *pc = target;
-                        exit = Some(ExitKind::Taken);
-                    } else {
-                        *pc = pc.wrapping_add(WORD_BYTES);
-                    }
-                }
-                BlockEnd::Fallthrough => {}
-            }
-        }
-        tlb.note_hits(retired + data_hits);
-        mem.note_reads(retired);
-        *cycles += retired * cost::INSN + extra;
-        accel.sb_note_exit(id, exit, retired);
-        Some(retired)
+        tlb.note_hits(run.retired + run.data_hits);
+        mem.note_reads(run.retired);
+        *cycles += run.retired * cost::INSN + run.extra;
+        accel.sb_note_uop_run(run.hops);
+        accel.sb_note_exit(run.last, run.exit, run.retired);
+        Dispatch::Ran(run.retired)
     }
 
     /// Translates the fetch of `pc`, consulting the accelerator's one-entry
@@ -512,9 +404,6 @@ impl Machine {
     fn execute(&mut self, insn: Insn, word: Word) -> StepOutcome {
         let next = self.pc.wrapping_add(4);
         match insn {
-            // Straight-line instructions share their semantics with the
-            // superblock runner through one helper, so the two execution
-            // paths cannot drift.
             Insn::Dp { .. }
             | Insn::Mul { .. }
             | Insn::Movw { .. }
@@ -665,9 +554,7 @@ impl Machine {
 }
 
 /// Load/store effective address (offset addressing, `P=1 W=0` — the only
-/// form the decoder admits). Split-borrow form shared by `Machine::mem_ea`
-/// and the superblock runner's in-block memory path, so the two compute
-/// addresses identically by construction.
+/// form the decoder admits).
 #[inline]
 fn mem_ea_regs(regs: &RegFile, mode: Mode, rn: Reg, off: MemOffset) -> Addr {
     let base = regs.get(mode, rn);
@@ -695,6 +582,19 @@ enum StepOutcome {
     Exit(ExitReason),
 }
 
+/// What `Machine::step_superblock` did at the current PC.
+enum Dispatch {
+    /// A compiled trace ran and retired this many instructions.
+    Ran(u64),
+    /// No trace ran here (no block, or a hazard on its first op): step
+    /// this one instruction, then dispatch again.
+    Step,
+    /// The dispatched block does not fit whole in the remaining step
+    /// budget or before the wake deadline: step per instruction for the
+    /// rest of the call.
+    Tail,
+}
+
 /// Whether condition `cond` passes under the flags in `p` (ARM ARM A8.3).
 #[inline]
 fn cond_holds(p: Psr, cond: Cond) -> bool {
@@ -719,15 +619,10 @@ fn cond_holds(p: Psr, cond: Cond) -> bool {
 
 /// Executes one block-safe straight-line instruction (data-processing,
 /// multiply, `MOVW`/`MOVT`, `MRS`) against the register file and PSR, and
-/// returns the cycles it charges beyond the base `cost::INSN`.
-///
-/// Operates on split-borrowed fields rather than `&mut Machine` so the
-/// superblock runner can call it while the dispatched block is still
-/// borrowed from the accelerator; `Machine::execute` routes the same
-/// instructions through here, keeping the two paths semantically
-/// identical by construction. The instructions handled here can neither
-/// fault nor write the PC (PC-destination encodings decode to
-/// [`Insn::Unknown`]), which is exactly what makes them block-safe.
+/// returns the cycles it charges beyond the base `cost::INSN`. The
+/// instructions handled here can neither fault nor write the PC
+/// (PC-destination encodings decode to [`Insn::Unknown`]), which is
+/// exactly what makes them block-safe.
 #[inline]
 fn exec_straightline(regs: &mut RegFile, cpsr: &mut Psr, mode: Mode, insn: Insn) -> u64 {
     match insn {
@@ -836,7 +731,7 @@ fn site_lookup(
 }
 
 /// What one `run_uop_trace` call retired, for the caller to
-/// batch-account precisely like the superblock body loop.
+/// batch-account.
 struct UopRun {
     /// Instructions retired across every pass; 0 means a first-op hazard
     /// left the machine untouched (the caller falls back to
@@ -854,13 +749,13 @@ struct UopRun {
     exit: Option<ExitKind>,
 }
 
-/// Executes the specialised micro-op trace `t` of block `id` over a flat
-/// copy of the user-visible registers and a local PSR, committing the
-/// exactly retired prefix.
+/// Executes the compiled trace of block `id` over a flat copy of the
+/// user-visible registers and a local PSR, committing the exactly
+/// retired prefix.
 ///
 /// **Linked chaining.** When a pass exits, the runner follows the exiting
 /// block's successor link (`Block::succ[exit]`, recorded by the
-/// dispatcher) straight into the next promoted trace — no commit, no
+/// dispatcher) straight into the next trace — no commit, no
 /// re-dispatch, no regfile round-trip — but only while every check the
 /// dispatcher would make for that trace still holds: its entry VA, world
 /// and `TTBR0` match the new PC and the run's context; it was built or
@@ -868,7 +763,7 @@ struct UopRun {
 /// trace being left (the dispatcher confirmed the first trace, and every
 /// hop keeps this invariant; a block kept from an earlier epoch is
 /// confirmed only by the dispatcher); the remaining step
-/// budget covers a whole pass (`UopTrace::steps`, the dispatcher's `full`
+/// budget covers a whole pass (`UopTrace::steps`, the dispatcher's fit
 /// check); and the accumulated cycle charge plus the target's worst-case
 /// pass still ends before the wake deadline (`cost + max_charge <
 /// cycle_budget`, the wake-hoisting guard with the dispatch-time cycle
@@ -886,16 +781,15 @@ struct UopRun {
 /// and links, and an exit's PC is static per trace).
 ///
 /// Mid-trace stops happen only at memory micro-ops (hazard) or right
-/// after a code-generation bump — points where the specialiser's flag
+/// after a code-generation bump — points where the compiler's flag
 /// liveness forced every earlier flag write to materialise — so the
 /// committed PSR at any stop is bit-for-bit the per-instruction one. A
 /// stop ends the chain at the exactly-retired prefix of the trace it
 /// happened in.
 #[allow(clippy::too_many_arguments)]
-fn run_uop_trace<'a>(
-    blocks: &'a [Block],
+fn run_uop_trace(
+    blocks: &[Block],
     mut id: u32,
-    mut t: &'a UopTrace,
     gen_entry: u64,
     cycle_budget: u64,
     steps_left: u64,
@@ -907,6 +801,7 @@ fn run_uop_trace<'a>(
     mem: &mut PhysMem,
     dtlb: &mut DataTlb,
 ) -> UopRun {
+    let mut t = &blocks[id as usize].trace;
     let mut r = regs.user_visible();
     let mut psr = *cpsr;
     let mut total = 0u64;
@@ -1136,24 +1031,22 @@ fn run_uop_trace<'a>(
         let cur = &blocks[id as usize];
         if let Some(next) = cur.succ[exit as usize] {
             let nb = &blocks[next as usize];
-            if let Some(nt) = &nb.uop {
-                if nb.entry_va == pc_cur
-                    && nb.world == world
-                    && nb.ttbr0 == ttbr0
-                    && nb.epoch == cur.epoch
-                    && whole_pass_fits(nt.steps, nb.max_charge)
-                {
-                    hops += 1;
-                    if next == id {
-                        self_exit = Some(exit);
-                    } else {
-                        id = next;
-                        t = nt;
-                        max_charge = nb.max_charge;
-                        self_exit = None;
-                    }
-                    continue 'chain;
+            if nb.entry_va == pc_cur
+                && nb.world == world
+                && nb.ttbr0 == ttbr0
+                && nb.epoch == cur.epoch
+                && whole_pass_fits(nb.trace.steps, nb.max_charge)
+            {
+                hops += 1;
+                if next == id {
+                    self_exit = Some(exit);
+                } else {
+                    id = next;
+                    t = &nb.trace;
+                    max_charge = nb.max_charge;
+                    self_exit = None;
                 }
+                continue 'chain;
             }
         }
         break 'chain Some(exit);
@@ -1578,7 +1471,9 @@ mod tests {
     /// which are keyed by physical page and guarded by the code watch.
     /// The re-entered code runs its kept block once the per-instruction
     /// path has translated the page again, without rebuilding it, and
-    /// ends bit-for-bit equal to the uncached run.
+    /// ends bit-for-bit equal to the uncached run. The flight recorder
+    /// sees no block drop at the flush; switching the accelerator off
+    /// afterwards is the drop, recorded with its own cause.
     #[test]
     fn tlb_flush_keeps_decoded_pages_and_blocks() {
         let mut a = Assembler::new(0x8000);
@@ -1590,6 +1485,7 @@ mod tests {
         let run = |accel: bool| {
             let mut m = guest_machine(&a.words());
             m.set_fetch_accel(accel);
+            m.set_trace_capacity(64);
             assert_eq!(m.run_user(100).unwrap(), ExitReason::Svc { imm24: 0 });
             let (pages, blocks, built) = (
                 m.accel.cached_pages(),
@@ -1616,10 +1512,26 @@ mod tests {
             m.exception_return().unwrap();
             m.pc = 0x8000;
             assert_eq!(m.run_user(100).unwrap(), ExitReason::Svc { imm24: 0 });
+            let sb_invals = |m: &Machine| -> Vec<String> {
+                m.trace
+                    .iter()
+                    .map(|e| e.event.to_string())
+                    .filter(|e| e.starts_with("sb-inval"))
+                    .collect()
+            };
+            assert_eq!(
+                sb_invals(&m),
+                Vec::<String>::new(),
+                "a flush drops no block"
+            );
             if accel {
                 let s = m.superblock_stats();
                 assert_eq!(s.built, built, "the kept block was rebuilt: {s:?}");
                 assert_eq!(s.revalidated, blocks as u64, "stats: {s:?}");
+                m.set_fetch_accel(false);
+                assert_eq!(sb_invals(&m), ["sb-inval cause=toggle"]);
+                let s = m.superblock_stats();
+                assert_eq!((s.inval_toggle, s.inval_code_gen), (1, 0), "{s:?}");
             }
             m
         };
@@ -1651,78 +1563,48 @@ mod tests {
         assert!(m_on == m_off, "architectural state diverged");
     }
 
-    /// Runs `code` under the four stepping configurations — micro-op
-    /// traces (promotion forced with a threshold of 2), superblocks,
-    /// accelerator-only, baseline — with `setup` applied to each fresh
-    /// machine, asserting all four exits, final architectural states,
-    /// and architectural metric projections are bit-for-bit identical.
-    /// Returns the superblock-configuration machine (its host-side
-    /// superblock statistics are what the edge regressions assert on).
-    fn four_way(
+    /// Runs `code` compiled (the default) and on the uncached reference
+    /// interpreter, with `setup` applied to each fresh machine, asserting
+    /// both exits, final architectural states and architectural metric
+    /// projections are bit-for-bit identical. Returns the compiled
+    /// machine (its host-side block statistics are what the edge
+    /// regressions assert on).
+    fn two_way(
         code: &[Word],
         perms: PagePerms,
         steps: u64,
         setup: impl Fn(&mut Machine),
     ) -> (Machine, ExitReason) {
-        let (m_uop, m_sb, e_sb) = four_way_machines(code, perms, steps, setup);
-        drop(m_uop);
-        (m_sb, e_sb)
-    }
-
-    /// [`four_way`], additionally returning the micro-op-configuration
-    /// machine so callers can assert its promotion/hit statistics.
-    fn four_way_machines(
-        code: &[Word],
-        perms: PagePerms,
-        steps: u64,
-        setup: impl Fn(&mut Machine),
-    ) -> (Machine, Machine, ExitReason) {
-        let run = |accel: bool, superblocks: bool, uops: bool| {
+        let run = |accel: bool| {
             let mut m = guest_machine_with_perms(code, perms);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            if uops {
-                // Force promotion almost immediately so even short tests
-                // spend most iterations on specialised traces.
-                m.set_uop_threshold(2);
-            }
             setup(&mut m);
             let exit = m.run_user(steps).unwrap();
             (m, exit)
         };
-        let (m_uop, e_uop) = run(true, true, true);
-        let (m_sb, e_sb) = run(true, true, false);
-        let (m_on, e_on) = run(true, false, false);
-        let (m_off, e_off) = run(false, false, false);
-        assert_eq!(e_uop, e_sb, "uop exit diverged from superblock");
-        assert_eq!(e_sb, e_on, "superblock exit diverged from accel-only");
-        assert_eq!(e_on, e_off, "accel-only exit diverged from baseline");
-        assert_eq!(m_uop.cycles, m_off.cycles, "uop cycles diverged");
-        assert_eq!(m_sb.cycles, m_off.cycles, "superblock cycles diverged");
-        assert_eq!(m_uop.tlb.hits, m_off.tlb.hits);
-        assert_eq!(m_sb.tlb.hits, m_off.tlb.hits);
-        assert_eq!(m_uop.mem.reads, m_off.mem.reads);
-        assert_eq!(m_sb.mem.reads, m_off.mem.reads);
+        let (m_on, e_on) = run(true);
+        let (m_off, e_off) = run(false);
+        assert_eq!(e_on, e_off, "compiled exit diverged from the interpreter");
+        assert_eq!(m_on.cycles, m_off.cycles, "compiled cycles diverged");
+        assert_eq!(m_on.tlb.hits, m_off.tlb.hits);
+        assert_eq!(m_on.mem.reads, m_off.mem.reads);
         assert_eq!(
-            m_uop.metrics_snapshot().architectural(),
+            m_on.metrics_snapshot().architectural(),
             m_off.metrics_snapshot().architectural(),
-            "uop architectural metrics diverged from baseline"
+            "compiled architectural metrics diverged from the interpreter"
         );
-        assert!(m_uop == m_off, "uop architectural state diverged");
-        assert!(m_sb == m_off, "superblock architectural state diverged");
-        assert!(m_on == m_off, "accel-only architectural state diverged");
-        (m_uop, m_sb, e_sb)
+        assert!(m_on == m_off, "compiled architectural state diverged");
+        (m_on, e_on)
     }
 
     /// A store that overwrites an instruction belonging to the executing
-    /// loop's superblock: the generation bump must kill the block before
+    /// loop's block: the generation bump must kill the block before
     /// its next dispatch, so the rewritten instruction (not the cached
     /// trace) executes — identically to per-instruction stepping.
     #[test]
     fn superblock_self_modifying_store_into_own_block() {
         use crate::encode::encode;
-        // Loop body: three ALU instructions (a superblock) whose middle
+        // Loop body: three ALU instructions (a block) whose middle
         // one is rewritten by the store on the first iteration, then the
         // store + backward branch. The block spans the slot being
         // overwritten while the loop (hence the block) is live.
@@ -1747,7 +1629,7 @@ mod tests {
         a.subs_imm(Reg::R(6), Reg::R(6), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m, exit) = four_way(&a.words(), PagePerms::RWX, 1_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RWX, 1_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         // Iteration 1 runs the original `add r2, #1`; iterations 2 and 3
         // run the patched `add r2, #5`.
@@ -1760,7 +1642,7 @@ mod tests {
         );
     }
 
-    /// A store executed *inside* a memory-inclusive superblock that hits
+    /// A store executed *inside* a memory-inclusive block that hits
     /// the block's own code page: the runner must retire through the
     /// store, stop the trace, and reconcile per-instruction so the
     /// patched instruction — which sits *later in the same block* —
@@ -1793,7 +1675,7 @@ mod tests {
         a.subs_imm(Reg::R(6), Reg::R(6), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m, exit) = four_way(&a.words(), PagePerms::RWX, 1_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RWX, 1_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         // The patch lands before any iteration reads the slot: all three
         // iterations run `add r2, #5`.
@@ -1802,10 +1684,11 @@ mod tests {
         assert_eq!(m.regs.get(Mode::User, Reg::R(4)), 3);
     }
 
-    /// Memory-inclusive superblocks with every single-register load/store
+    /// Memory-inclusive blocks with every single-register load/store
     /// shape the decoder admits — word/byte, immediate/register offset,
     /// add/subtract — must match per-instruction stepping bit-for-bit,
-    /// and must actually engage the data-TLB fast path.
+    /// and the loop's trace must serve them from its per-site
+    /// translations.
     #[test]
     fn superblock_memory_inclusive_blocks_are_exact() {
         let mut a = Assembler::new(0x8000);
@@ -1825,21 +1708,30 @@ mod tests {
         a.subs_imm(Reg::R(7), Reg::R(7), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m, exit) = four_way(&a.words(), PagePerms::RX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         let s = m.superblock_stats();
         assert!(s.built >= 1, "no memory-inclusive block was formed");
+        assert!(s.uop_hits > 30, "the loop must run from its trace: {s:?}");
+        // The loop's trace carries all six accesses, and every one of its
+        // per-site translations was filled by an access made in the trace.
+        let body = m
+            .accel
+            .sb_blocks()
+            .iter()
+            .find(|b| b.entry_va == top.addr())
+            .expect("the loop formed no block");
+        assert_eq!(body.trace.sites.len(), 6);
         assert!(
-            s.dtlb_hits > 100,
-            "in-block accesses must ride the data-TLB (dtlb_hits={})",
-            s.dtlb_hits
+            body.trace.sites.iter().all(|c| c.get().is_some()),
+            "in-trace accesses must ride the per-site translations"
         );
         // 40 iterations × (3 stores + 3 loads) with a byte lane: r4
         // accumulates the stored low byte, r3 holds the last one.
         assert_eq!(m.regs.get(Mode::User, Reg::R(3)), (40 * 3) & 0xff);
     }
 
-    /// An in-block load whose verdict is fine but whose *physical* access
+    /// An in-trace load whose verdict is fine but whose *physical* access
     /// faults (unaligned address): the block must stop at the retired
     /// prefix and the per-insn path must raise the data abort with exact
     /// accounting — swept across fault positions via the loop counter.
@@ -1853,7 +1745,7 @@ mod tests {
             a.ldr_imm(Reg::R(2), Reg::R(8), 0); // Unaligned: data abort.
             a.add_imm(Reg::R(3), Reg::R(3), 4); // Must never execute.
             a.svc(0);
-            let (m, exit) = four_way(&a.words(), PagePerms::RX, 1_000, |_| {});
+            let (m, exit) = two_way(&a.words(), PagePerms::RX, 1_000, |_| {});
             // Translation succeeds; the bus access faults, so the abort
             // reports the *physical* address.
             assert_eq!(
@@ -1892,7 +1784,7 @@ mod tests {
             x: false,
         };
         let code = a.words();
-        let run = |accel: bool, superblocks: bool| {
+        let run = |accel: bool| {
             let mut m = guest_machine(&code);
             // Remap the data page read-only before anything runs.
             m.mem
@@ -1903,26 +1795,22 @@ mod tests {
                 )
                 .unwrap();
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
             let exit = m.run_user(1_000).unwrap();
             (m, exit)
         };
-        let (m_sb, e_sb) = run(true, true);
-        let (m_on, e_on) = run(true, false);
-        let (m_off, e_off) = run(false, false);
+        let (m_on, e_on) = run(true);
+        let (m_off, e_off) = run(false);
         assert_eq!(
-            e_sb,
+            e_on,
             ExitReason::DataAbort(MemFault::new(
                 0x9000,
                 crate::error::MemFaultKind::Permission,
                 true
             ))
         );
-        assert_eq!(e_sb, e_on);
         assert_eq!(e_on, e_off);
-        assert!(m_sb == m_off, "superblock state diverged on RO fault");
-        assert!(m_on == m_off, "accel state diverged on RO fault");
-        assert_eq!(m_sb.regs.get(Mode::User, Reg::R(1)), 3);
+        assert!(m_on == m_off, "compiled state diverged on RO fault");
+        assert_eq!(m_on.regs.get(Mode::User, Reg::R(1)), 3);
     }
 
     /// Every data-TLB invalidation source — `tlb_flush`, a `TTBR0`
@@ -1943,10 +1831,9 @@ mod tests {
         a.b_to(Cond::Ne, top);
         a.svc(0);
         let code = a.words();
-        let run = |source: u32, accel: bool, superblocks: bool| -> (Machine, DTlbStats) {
+        let run = |source: u32, accel: bool| -> (Machine, DTlbStats) {
             let mut m = guest_machine(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
             m.regs.set(Mode::User, Reg::R(8), 0x9000);
             for _ in 0..3 {
                 let exit = m.run_user(10_000).unwrap();
@@ -1973,26 +1860,26 @@ mod tests {
             (m, stats)
         };
         for source in 0..3u32 {
-            let (m_sb, s_sb) = run(source, true, true);
-            let (m_on, _) = run(source, true, false);
-            let (m_off, s_off) = run(source, false, false);
-            assert!(
-                m_sb == m_off,
-                "source {source}: superblock state diverged across invalidation"
-            );
+            let (m_on, s_on) = run(source, true);
+            let (m_off, s_off) = run(source, false);
             assert!(
                 m_on == m_off,
-                "source {source}: accel state diverged across invalidation"
+                "source {source}: compiled state diverged across invalidation"
             );
-            // The superblock run exercised the cache and the per-cause
-            // counters; the baseline cached nothing at all.
+            // The compiled run exercised the cache and the per-cause
+            // counters; the baseline cached nothing at all. A flush or
+            // reload resets the trace's per-site translations, so every
+            // round refills the data-TLB and drops it again. A world
+            // switch starts no translation epoch: the trace keeps its
+            // sites and serves later rounds from them, so the data-TLB
+            // holds entries to drop only after the first round.
             match source {
-                0 => assert!(s_sb.inval_flush >= 3, "flush cause uncounted: {s_sb:?}"),
-                1 => assert!(s_sb.inval_ttbr >= 3, "ttbr cause uncounted: {s_sb:?}"),
-                2 => assert!(s_sb.inval_world >= 3, "world cause uncounted: {s_sb:?}"),
+                0 => assert!(s_on.inval_flush >= 3, "flush cause uncounted: {s_on:?}"),
+                1 => assert!(s_on.inval_ttbr >= 3, "ttbr cause uncounted: {s_on:?}"),
+                2 => assert!(s_on.inval_world >= 1, "world cause uncounted: {s_on:?}"),
                 _ => unreachable!(),
             }
-            assert!(s_sb.hits > 0, "source {source}: data-TLB never engaged");
+            assert!(s_on.hits > 0, "source {source}: data-TLB never engaged");
             assert_eq!(
                 (s_off.hits, s_off.misses),
                 (0, 0),
@@ -2013,8 +1900,10 @@ mod tests {
         }
         a.svc(0);
         let code = a.words();
+        let (m, _) = two_way(&code, PagePerms::RX, 1_000, |_| {});
+        let unlimited = m.superblock_stats().built;
         for deadline in 1..=20u64 {
-            let (m, exit) = four_way(&code, PagePerms::RX, 1_000, |m| {
+            let (m, exit) = two_way(&code, PagePerms::RX, 1_000, |m| {
                 m.irq_at = Some(m.cycles + deadline);
             });
             assert!(
@@ -2024,6 +1913,10 @@ mod tests {
             if exit == ExitReason::Irq {
                 assert_eq!(m.cpsr.mode, Mode::Irq, "deadline {deadline}");
             }
+            // The deadline tail steps per instruction: it builds no
+            // suffix blocks.
+            let built = m.superblock_stats().built;
+            assert!(built <= unlimited, "deadline {deadline}: built {built}");
         }
     }
 
@@ -2037,7 +1930,7 @@ mod tests {
         for _ in 0..1024 {
             a.add_imm(Reg::R(0), Reg::R(0), 1); // Fills the whole page.
         }
-        let (m, exit) = four_way(&a.words(), PagePerms::RX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RX, 10_000, |_| {});
         // The data page at 0x9000 is RW (not executable): walking off the
         // code page's end prefetch-aborts there.
         assert_eq!(exit, ExitReason::PrefetchAbort(0x9000));
@@ -2081,7 +1974,7 @@ mod tests {
                 op2: crate::insn::Op2::imm(1),
             });
             a.svc(0);
-            let (m, exit) = four_way(&a.words(), PagePerms::RX, 1_000, |m| {
+            let (m, exit) = two_way(&a.words(), PagePerms::RX, 1_000, |m| {
                 m.regs.set(Mode::User, Reg::R(0), r0);
             });
             assert_eq!(exit, ExitReason::Svc { imm24: 0 }, "r0={r0}");
@@ -2111,7 +2004,7 @@ mod tests {
         a.subs_imm(Reg::R(1), Reg::R(1), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m, exit) = four_way(&a.words(), PagePerms::RX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         let s = m.superblock_stats();
         assert!(s.built >= 1, "no block built");
@@ -2125,23 +2018,47 @@ mod tests {
 
     /// A step budget expiring mid-block stops at exactly the same
     /// instruction as per-instruction stepping, for every possible budget.
+    /// The second program's block holds an instruction whose condition
+    /// fails, which a budget tail then steps per instruction.
     #[test]
     fn superblock_partial_budget_stops_mid_trace() {
-        let mut a = Assembler::new(0x8000);
-        for _ in 0..10 {
-            a.add_imm(Reg::R(0), Reg::R(0), 1);
-        }
-        let top = a.label();
-        a.b_to(Cond::Al, top);
-        let code = a.words();
-        for budget in 1..=14u64 {
-            let (m, exit) = four_way(&code, PagePerms::RX, budget, |_| {});
-            assert_eq!(exit, ExitReason::StepLimit, "budget {budget}");
-            assert_eq!(
-                m.regs.get(Mode::User, Reg::R(0)),
-                budget.min(10) as u32,
-                "budget {budget} retired the wrong number of instructions"
-            );
+        for skipped in [false, true] {
+            let mut a = Assembler::new(0x8000);
+            for i in 0..10 {
+                a.add_imm(Reg::R(0), Reg::R(0), 1);
+                if skipped && i == 0 {
+                    // Z is clear at reset, so this never executes.
+                    a.emit(Insn::Dp {
+                        cond: Cond::Eq,
+                        op: crate::insn::DpOp::Add,
+                        s: false,
+                        rd: Reg::R(1),
+                        rn: Reg::R(1),
+                        op2: crate::insn::Op2::imm(1),
+                    });
+                }
+            }
+            let top = a.label();
+            a.b_to(Cond::Al, top);
+            let code = a.words();
+            let (m, _) = two_way(&code, PagePerms::RX, 1_000, |_| {});
+            let unlimited = m.superblock_stats().built;
+            for budget in 1..=14u64 {
+                let (m, exit) = two_way(&code, PagePerms::RX, budget, |_| {});
+                assert_eq!(exit, ExitReason::StepLimit, "budget {budget}");
+                // Every step up to the branch retires an add, except the
+                // skipped one.
+                let adds = budget.min(10 + skipped as u64) - (skipped && budget >= 2) as u64;
+                assert_eq!(
+                    m.regs.get(Mode::User, Reg::R(0)),
+                    adds as u32,
+                    "budget {budget} retired the wrong number of instructions"
+                );
+                // The budget tail steps per instruction: it builds no
+                // suffix blocks.
+                let built = m.superblock_stats().built;
+                assert!(built <= unlimited, "budget {budget}: built {built}");
+            }
         }
     }
 
@@ -2180,11 +2097,11 @@ mod tests {
 
     /// A hot mixed loop — loads, stores, a dead flag-setter, a live
     /// compare steering a conditional, and a fused compare+branch exit —
-    /// must get promoted to a specialised trace, serve the bulk of its
-    /// iterations from it, and stay bit-for-bit exact (the four-way
-    /// helper asserts the equality half).
+    /// must serve the bulk of its iterations from its compiled trace and
+    /// stay bit-for-bit exact (the two-way helper asserts the equality
+    /// half).
     #[test]
-    fn uop_promotion_specialises_hot_loops_and_stays_exact() {
+    fn uop_traces_serve_hot_loops_and_stay_exact() {
         let mut a = Assembler::new(0x8000);
         a.mov_imm32(Reg::R(8), 0x9000);
         a.mov_imm(Reg::R(7), 100); // Loop counter.
@@ -2214,29 +2131,26 @@ mod tests {
         a.subs_imm(Reg::R(7), Reg::R(7), 1); // Fused with the bne.
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m_uop, m_sb, exit) = four_way_machines(&a.words(), PagePerms::RX, 20_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RX, 20_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
-        let s = m_uop.superblock_stats();
-        assert!(s.uop_promoted >= 1, "hot loop never promoted: {s:?}");
+        let s = m.superblock_stats();
         assert!(
             s.uop_hits > 50,
-            "most iterations must run specialised (uop_hits={})",
+            "most iterations must run compiled (uop_hits={})",
             s.uop_hits
         );
-        let s_sb = m_sb.superblock_stats();
-        assert_eq!(
-            (s_sb.uop_promoted, s_sb.uop_hits),
-            (0, 0),
-            "the uops-off configuration must never specialise"
+        assert!(
+            s.chained > 50 && s.uop_linked > 50,
+            "the loop must chain from its trace back into itself: {s:?}"
         );
     }
 
-    /// Self-modifying code *inside* a specialised trace: the loop runs
-    /// hot enough to be promoted, then a conditional store patches an
-    /// instruction later in the same trace. The specialised runner must
-    /// retire through the store, stop, and let the per-insn path execute
-    /// the patched instruction in that same iteration — and the dropped
-    /// trace must be counted as a uop invalidation.
+    /// Self-modifying code *inside* a compiled trace: the loop runs from
+    /// its trace, then a conditional store patches an instruction later
+    /// in the same trace. The runner must retire through the store, stop,
+    /// and let the per-insn path execute the patched instruction in that
+    /// same iteration — and the dropped blocks must be counted as a
+    /// code-generation invalidation.
     #[test]
     fn uop_self_modifying_store_inside_specialised_trace() {
         use crate::encode::encode;
@@ -2255,8 +2169,8 @@ mod tests {
         let top = a.label();
         a.add_imm(Reg::R(3), Reg::R(3), 1);
         a.cmp_imm(Reg::R(6), 3);
-        // Fires only on the 4th iteration (r6 == 3) — by then the trace
-        // is promoted (threshold 2) and running specialised.
+        // Fires only on the 4th iteration (r6 == 3) — by then the loop
+        // runs from its trace.
         let slot = (a.len() + 2) as u16;
         a.emit(Insn::Str {
             cond: Cond::Eq,
@@ -2273,24 +2187,18 @@ mod tests {
         a.subs_imm(Reg::R(6), Reg::R(6), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m_uop, _m_sb, exit) = four_way_machines(&a.words(), PagePerms::RWX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RWX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         // Iterations r6=6,5,4 run the original `add r2, #1`; the patch
         // lands before the slot executes on r6=3, so that iteration and
         // the remaining two run `add r2, #5`.
-        assert_eq!(m_uop.regs.get(Mode::User, Reg::R(2)), 3 + 5 * 3);
-        let s = m_uop.superblock_stats();
-        assert!(s.uop_promoted >= 1, "loop never promoted: {s:?}");
-        assert!(s.uop_hits >= 1, "specialised trace never ran: {s:?}");
-        assert!(
-            s.uop_invalidations >= 1,
-            "the code-gen bump must be counted as dropping a specialised \
-             trace (stats: {s:?})"
-        );
+        assert_eq!(m.regs.get(Mode::User, Reg::R(2)), 3 + 5 * 3);
+        let s = m.superblock_stats();
+        assert!(s.uop_hits >= 1, "compiled trace never ran: {s:?}");
         assert!(s.inval_code_gen >= 1, "stats: {s:?}");
     }
 
-    /// A store in one promoted trace patches the code of its linked
+    /// A store in one compiled trace patches the code of its linked
     /// successor mid-chain. The code-generation bump must end the chain
     /// right after the store: the runner commits the retired prefix and
     /// never hops into the successor's stale trace, so the patched
@@ -2316,7 +2224,7 @@ mod tests {
         a.add_imm(Reg::R(3), Reg::R(3), 1);
         a.cmp_imm(Reg::R(6), 5);
         // Fires only on the 6th iteration (r6 == 5), by when A and B are
-        // both promoted (threshold 2) and linked.
+        // linked.
         let slot = (a.len() + 3) as u16;
         a.emit(Insn::Str {
             cond: Cond::Eq,
@@ -2338,44 +2246,32 @@ mod tests {
         a.subs_imm(Reg::R(6), Reg::R(6), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m_uop, _m_sb, exit) = four_way_machines(&a.words(), PagePerms::RWX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RWX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         // r6 = 10..=6 run the original `add r2, #1`; the patch lands in
         // A on r6 = 5, before B runs, so B runs `add r2, #5` from then on.
-        assert_eq!(m_uop.regs.get(Mode::User, Reg::R(2)), 5 + 5 * 5);
-        assert_eq!(m_uop.regs.get(Mode::User, Reg::R(4)), 10);
-        let s = m_uop.superblock_stats();
+        assert_eq!(m.regs.get(Mode::User, Reg::R(2)), 5 + 5 * 5);
+        assert_eq!(m.regs.get(Mode::User, Reg::R(4)), 10);
+        let s = m.superblock_stats();
         assert!(s.uop_linked >= 2, "A and B never chained: {s:?}");
-        assert!(s.uop_invalidations >= 1, "stats: {s:?}");
         assert!(s.inval_code_gen >= 1, "stats: {s:?}");
     }
 
-    /// Runs `drive` on `code` under the four stepping configurations
-    /// (promotion forced at two dispatches) and asserts every machine
-    /// equals the baseline one; returns the micro-op machine.
-    fn four_way_driven(code: &[Word], drive: impl Fn(&mut Machine)) -> Machine {
-        let run = |accel: bool, superblocks: bool, uops: bool| {
+    /// Runs `drive` on `code` compiled and on the uncached interpreter
+    /// and asserts the two machines are equal; returns the compiled one.
+    fn two_way_driven(code: &[Word], drive: impl Fn(&mut Machine)) -> Machine {
+        let run = |accel: bool| {
             let mut m = guest_machine(code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             drive(&mut m);
             m
         };
-        let m_uop = run(true, true, true);
-        let m_off = run(false, false, false);
-        for (name, m) in [
-            ("uop", &m_uop),
-            ("superblock", &run(true, true, false)),
-            ("accel-only", &run(true, false, false)),
-        ] {
-            assert_eq!(m.cycles, m_off.cycles, "{name}: cycles diverged");
-            assert_eq!(m.tlb.hits, m_off.tlb.hits, "{name}: TLB hits diverged");
-            assert_eq!(m.mem.reads, m_off.mem.reads, "{name}: reads diverged");
-            assert!(*m == m_off, "{name}: architectural state diverged");
-        }
-        m_uop
+        let (m_on, m_off) = (run(true), run(false));
+        assert_eq!(m_on.cycles, m_off.cycles, "cycles diverged");
+        assert_eq!(m_on.tlb.hits, m_off.tlb.hits, "TLB hits diverged");
+        assert_eq!(m_on.mem.reads, m_off.mem.reads, "reads diverged");
+        assert!(m_on == m_off, "architectural state diverged");
+        m_on
     }
 
     /// A one-block self-loop under step budgets that expire mid-chain:
@@ -2393,7 +2289,7 @@ mod tests {
         a.svc(0);
         let code = a.words();
         for budget in 1..=40u64 {
-            let m = four_way_driven(&code, |m| {
+            let m = two_way_driven(&code, |m| {
                 while m.run_user(budget).unwrap() == ExitReason::StepLimit {}
                 assert_eq!(m.cpsr.mode, Mode::Supervisor, "budget {budget}");
             });
@@ -2432,7 +2328,7 @@ mod tests {
         a.add_imm(Reg::R(4), Reg::R(4), 1);
         a.b_to(Cond::Al, x_entry);
         let code = a.words();
-        let m = four_way_driven(&code, |m| {
+        let m = two_way_driven(&code, |m| {
             // X runs hot first: ten whole passes.
             m.pc = x_entry.addr();
             assert_eq!(m.run_user(30).unwrap(), ExitReason::StepLimit);
@@ -2462,9 +2358,9 @@ mod tests {
     }
 
     /// Lone conditional branches (the `B<c>` pair of a compare diamond)
-    /// become one-instruction superblocks, and once promoted the runner
-    /// chains through them: the loop's hops outnumber its iterations,
-    /// and every tier still agrees bit-for-bit.
+    /// become one-instruction blocks, and the runner chains through
+    /// them: the loop's hops outnumber its iterations, and the compiled
+    /// machine still agrees bit-for-bit with the interpreter.
     #[test]
     fn lone_branches_are_admitted_and_chained() {
         let mut a = Assembler::new(0x8000);
@@ -2485,25 +2381,24 @@ mod tests {
         a.subs_imm(Reg::R(1), Reg::R(1), 1);
         a.b_to(Cond::Ne, top);
         a.svc(0);
-        let (m_uop, m_sb, exit) = four_way_machines(&a.words(), PagePerms::RX, 10_000, |_| {});
+        let (m, exit) = two_way(&a.words(), PagePerms::RX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
-        let s = m_uop.superblock_stats();
+        let s = m.superblock_stats();
         assert!(s.uop_linked > 40, "the runner must chain the loop: {s:?}");
-        // Superblocks alone dispatch the lone branch as a block too.
         let lone = 0x8000 + 6 * WORD_BYTES;
         assert!(
-            m_sb.accel
+            m.accel
                 .sb_blocks()
                 .iter()
-                .any(|b| b.entry_va == lone && b.body.is_empty()),
-            "the lone BHI was not admitted as a superblock"
+                .any(|b| b.entry_va == lone && b.trace.body.is_empty() && b.trace.steps == 1),
+            "the lone BHI was not admitted as a block"
         );
     }
 
-    /// An interrupt deadline landing mid-trace after promotion: the
-    /// wake-hoisting guard covers the specialised tier through the same
-    /// `max_charge`, so the IRQ fires at the exact per-insn cycle. Swept
-    /// across deadlines spanning cold, warming, and promoted iterations.
+    /// An interrupt deadline landing mid-trace: the wake-hoisting guard
+    /// covers every trace and every linked hop through `max_charge`, so
+    /// the IRQ fires at the exact per-insn cycle. Swept across deadlines
+    /// spanning the loop's first iterations and its chained ones.
     #[test]
     fn uop_interrupt_deadline_mid_trace_is_exact() {
         let mut a = Assembler::new(0x8000);
@@ -2518,7 +2413,7 @@ mod tests {
         a.svc(0);
         let code = a.words();
         for deadline in 1..=80u64 {
-            let (m, exit) = four_way(&code, PagePerms::RX, 10_000, |m| {
+            let (m, exit) = two_way(&code, PagePerms::RX, 10_000, |m| {
                 m.irq_at = Some(m.cycles + deadline);
             });
             assert!(
@@ -2532,11 +2427,11 @@ mod tests {
     }
 
     /// TLB flush, `TTBR0` reload, and world switch each landing between
-    /// promoted runs of a memory-carrying loop: no source drops a block or
-    /// its specialised trace, so the re-entered loop re-promotes nothing
-    /// (the flush and the reload confirm the kept blocks in the new
-    /// translation epoch instead), and the architectural state stays
-    /// bit-for-bit equal to baseline across all rounds.
+    /// compiled runs of a memory-carrying loop: no source drops a block or
+    /// its trace, so the re-entered loop rebuilds nothing (the flush and
+    /// the reload confirm the kept blocks in the new translation epoch
+    /// instead), and the architectural state stays bit-for-bit equal to
+    /// baseline across all rounds.
     #[test]
     fn uop_traces_survive_translation_epochs_exactly() {
         let mut a = Assembler::new(0x8000);
@@ -2550,12 +2445,9 @@ mod tests {
         a.b_to(Cond::Ne, top);
         a.svc(0);
         let code = a.words();
-        let run = |source: u32, accel: bool, superblocks: bool, uops: bool| {
+        let run = |source: u32, accel: bool| {
             let mut m = guest_machine(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for _ in 0..3 {
                 let exit = m.run_user(10_000).unwrap();
                 assert_eq!(exit, ExitReason::Svc { imm24: 0 });
@@ -2579,38 +2471,25 @@ mod tests {
             m
         };
         for source in 0..3u32 {
-            let m_uop = run(source, true, true, true);
-            let m_sb = run(source, true, true, false);
-            let m_off = run(source, false, false, false);
+            let m_on = run(source, true);
+            let m_off = run(source, false);
             assert!(
-                m_uop == m_off,
-                "source {source}: uop state diverged across invalidation"
+                m_on == m_off,
+                "source {source}: compiled state diverged across invalidation"
             );
-            assert!(
-                m_sb == m_off,
-                "source {source}: superblock state diverged across invalidation"
-            );
-            let s = m_uop.superblock_stats();
+            let s = m_on.superblock_stats();
             assert!(
                 s.uop_hits > 10,
-                "source {source}: specialised traces barely ran ({s:?})"
+                "source {source}: compiled traces barely ran ({s:?})"
             );
-            assert!(
-                s.uop_promoted >= 1,
-                "source {source}: never promoted ({s:?})"
-            );
-            // Every block built is still cached and every trace promoted
-            // is still attached: nothing was dropped, rebuilt or
-            // re-promoted.
-            let blocks = m_uop.accel.sb_blocks();
-            let traces = blocks.iter().filter(|b| b.uop.is_some()).count();
-            assert_eq!(s.built, blocks.len() as u64, "source {source}: {s:?}");
-            assert_eq!(s.uop_promoted, traces as u64, "source {source}: {s:?}");
+            // Every block built is still cached: nothing was dropped or
+            // rebuilt.
             assert_eq!(
-                (s.inval_tlb, s.uop_invalidations),
-                (0, 0),
+                s.built,
+                m_on.accel.sb_blocks().len() as u64,
                 "source {source}: {s:?}"
             );
+            assert_eq!(s.invalidations(), 0, "source {source}: {s:?}");
             if source == 2 {
                 // A world switch starts no epoch: every block (and its
                 // trace) is keyed by world and re-validated at dispatch.

@@ -16,8 +16,8 @@ use crate::word::{Addr, Word};
 use komodo_trace::{Event, FlightRecorder, InvalCause, MetricsSnapshot};
 
 /// Trace attribution of a host-cache drop (the flight recorder's
-/// leaf-crate cause taxonomy mirrors [`DTlbInval`] plus the superblock
-/// engine's code-generation cause).
+/// leaf-crate cause taxonomy mirrors [`DTlbInval`] plus the block
+/// engine's code-generation and toggle causes).
 fn trace_cause(cause: DTlbInval) -> InvalCause {
     match cause {
         DTlbInval::Flush => InvalCause::Flush,
@@ -105,12 +105,12 @@ pub struct Machine {
     /// Host-side software data-TLB fronting the architectural TLB map for
     /// user translations. **Not architectural state** — same contract as
     /// [`Machine::accel`] (see [`crate::dtlb`]). A separate field (not
-    /// inside the accelerator) so the superblock runner can probe it
+    /// inside the accelerator) so the micro-op runner can probe it
     /// mutably while a dispatched block is still borrowed.
     pub dtlb: DataTlb,
     /// Cycle-stamped flight recorder capturing boundary events (exception
     /// entry/exit, world switches, TLB/host-cache invalidations,
-    /// superblock builds; the monitor adds SMC and enclave-lifecycle
+    /// block builds; the monitor adds SMC and enclave-lifecycle
     /// events). **Not architectural state** — excluded from machine
     /// equality like [`Machine::accel`] and [`Machine::dtlb`], disabled
     /// (capacity 0) by default, and recording never charges cycles or
@@ -196,7 +196,7 @@ impl Machine {
     }
 
     /// A unified snapshot of every counter surface — architectural
-    /// (cycles, memory, TLB), host-side (superblocks, data-TLB), and the
+    /// (cycles, memory, TLB), host-side (blocks, data-TLB), and the
     /// flight recorder's own capture totals — under the single
     /// [`MetricsSnapshot`] schema the bench JSON emitter reads through.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -213,39 +213,40 @@ impl Machine {
             sb_hits: sb.hits,
             sb_chained: sb.chained,
             sb_inval_code_gen: sb.inval_code_gen,
-            sb_inval_tlb: sb.inval_tlb,
+            sb_inval_toggle: sb.inval_toggle,
             dtlb_hits: d.hits,
             dtlb_misses: d.misses,
             dtlb_inval_flush: d.inval_flush,
             dtlb_inval_ttbr: d.inval_ttbr,
             dtlb_inval_world: d.inval_world,
-            uop_promoted: sb.uop_promoted,
+            // Every block is compiled when it is built.
+            uop_promoted: sb.built,
             uop_hits: sb.uop_hits,
-            uop_invalidations: sb.uop_invalidations,
             trace_capacity: self.trace.capacity() as u64,
             trace_recorded: self.trace.total_recorded(),
             trace_dropped: self.trace.dropped(),
         }
     }
 
-    /// Enables or disables the host-side fetch accelerator. Disabling (or
-    /// re-enabling) drops all cached state — decoded pages, blocks,
+    /// Enables or disables the host-side fetch accelerator: on (the
+    /// default) runs compiled blocks, off is the uncached per-instruction
+    /// interpreter every differential test compares against. Disabling
+    /// (or re-enabling) drops all cached state — decoded pages, blocks,
     /// translation entries, the data-TLB and the code watch behind them;
     /// simulated behaviour is identical either way, only host speed
     /// changes. Recorded events mirror the statistics convention: a drop
-    /// is an event only when something was cached.
+    /// is an event (`sb-inval cause=toggle`) only when something was
+    /// cached.
     pub fn set_fetch_accel(&mut self, on: bool) {
         self.accel.set_enabled(on);
         self.dtlb.set_enabled(on);
-        if self.trace.enabled() {
-            let tc = trace_cause(DTlbInval::Flush);
-            if self.accel.sb_has_cached() {
-                self.trace.record(self.cycles, Event::SbInval { cause: tc });
-            }
-            if self.accel.sb_has_uops() {
-                self.trace
-                    .record(self.cycles, Event::UopInval { cause: tc });
-            }
+        if self.accel.sb_has_cached() {
+            self.trace.record(
+                self.cycles,
+                Event::SbInval {
+                    cause: InvalCause::Toggle,
+                },
+            );
         }
         self.accel.invalidate();
         self.mem.clear_code_watch();
@@ -270,34 +271,7 @@ impl Machine {
         self.dtlb.invalidate(cause);
     }
 
-    /// Enables or disables the superblock engine layered on the fetch
-    /// accelerator (see the *Superblocks* section of [`crate::dcache`]).
-    /// Either toggle drops all cached blocks; simulated behaviour is
-    /// bit-for-bit identical on or off — only host speed changes. Off
-    /// with the accelerator on isolates the PR-1 layers, which is how the
-    /// benchmarks attribute speedups.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.accel.set_superblocks(on);
-    }
-
-    /// Enables or disables the micro-op specialisation tier layered on
-    /// the superblock engine (see the module docs of [`crate::uop`]).
-    /// Either toggle drops all cached blocks; simulated behaviour is
-    /// bit-for-bit identical on or off — only host speed changes. Off
-    /// with superblocks on isolates the superblock engine's own
-    /// contribution, which is how the benchmarks attribute speedups.
-    pub fn set_uop_traces(&mut self, on: bool) {
-        self.accel.set_uops(on);
-    }
-
-    /// Sets the dispatch-hit count at which a hot superblock is promoted
-    /// to a specialised micro-op trace (clamped to at least 1; the
-    /// differential tests lower it to force promotion quickly).
-    pub fn set_uop_threshold(&mut self, hits: u64) {
-        self.accel.set_uop_threshold(hits);
-    }
-
-    /// Host-side superblock-engine statistics (blocks built, dispatch
+    /// Host-side block-engine statistics (blocks built, dispatch
     /// hits, chained dispatches, invalidations split by cause), with the
     /// data-TLB's hit/miss/invalidation counters merged in.
     pub fn superblock_stats(&self) -> SbStats {

@@ -300,7 +300,7 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Records `n` word reads in one batch — the superblock runner's
+    /// Records `n` word reads in one batch — the micro-op runner's
     /// accounting for the instruction fetches its trace replays, each of
     /// which the uncached path would have performed as a counted
     /// [`PhysMem::read`].

@@ -81,10 +81,11 @@ impl Tlb {
         hit
     }
 
-    /// Records `n` cache hits in one batch — the superblock runner's
+    /// Records `n` cache hits in one batch — the micro-op runner's
     /// accounting for the instruction fetches its trace replays, each of
     /// which provably still hits (entries leave the TLB only on a full
-    /// flush, and a flush drops every superblock). Equivalent to `n`
+    /// flush, and a block runs only in the translation epoch it was
+    /// built or confirmed in, which a flush ends). Equivalent to `n`
     /// successful [`Tlb::lookup`] calls.
     #[inline]
     pub fn note_hits(&mut self, n: u64) {
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn note_hits_matches_repeated_lookups() {
-        // Batched superblock accounting must be indistinguishable from the
+        // Batched trace accounting must be indistinguishable from the
         // per-instruction path issuing the same number of lookups.
         let mut batched = Tlb::new();
         let mut stepped = Tlb::new();

@@ -1,17 +1,13 @@
-//! Micro-op trace specialisation: a JIT-style IR tier above superblocks.
+//! Micro-op traces: the compiled form every block runs as.
 //!
-//! A superblock (see [`crate::dcache`]) re-executes every hot trace
-//! through the generic per-instruction executor: per instruction it
-//! re-matches the condition field, the operand shapes, the `S` bit and
-//! the register banking, and re-folds rotated immediates. This module
-//! lifts a *hot* superblock — one whose dispatch count crossed the
-//! promotion threshold — into a small micro-op IR specialised once at
-//! build time:
+//! `FetchAccel::sb_build` (see [`crate::dcache`]) scans a straight-line
+//! run of decoded instructions and hands it to `specialise`, which
+//! lowers it once, when the block is built, into a small micro-op IR:
 //!
 //! - **Constant folding**: rotated `Op2` immediates, `MOVW`/`MOVT` pair
 //!   collapsing, base+`#imm12` address offsets (pre-negated for the
-//!   subtract forms), and branch targets (already absolute in
-//!   `BlockEnd`) are folded to raw words. PC-relative forms never
+//!   subtract forms), and branch targets (already absolute in the
+//!   scanned end) are folded to raw words. PC-relative forms never
 //!   reach a trace — decode maps them to [`crate::insn::Insn::Unknown`],
 //!   which is never admitted — so the only PC-dependent values in a
 //!   trace are the pre-folded branch target and link address.
@@ -24,7 +20,9 @@
 //!   a load/store (and the exit publishes `CPSR` architecturally), so
 //!   liveness is forced to "all flags" across them — the committed
 //!   `CPSR` at every possible stop point is exactly the per-instruction
-//!   machine's.
+//!   machine's. Any other point may hold a `CPSR` that differs from the
+//!   per-instruction one, which is why a trace runs whole or not at all
+//!   and cannot stop at an arbitrary body entry.
 //! - **Compare+branch fusion**: a trace ending `<flag-setting ALU>; B<c>`
 //!   becomes a single `UopEnd::FusedBranch` conditional exit — NZCV is
 //!   computed once, written to `CPSR` (it is architectural at the exit),
@@ -35,36 +33,36 @@
 //!   access attributes, presence implying the site's read/write verdict
 //!   passed). Validity is anchored exactly like the fetch-side caches:
 //!   the entry was formed from a data-TLB hit under the trace's
-//!   `(world, TTBR0)` key, the architectural TLB never re-maps an
-//!   existing VA without a flush/`TTBR0`-load/page-table store, and
-//!   each of those events drops the whole block cache (traces die with
-//!   their blocks) — so a surviving site entry provably replays what
-//!   the exact path would compute, and accounting one TLB hit per
-//!   access remains exact.
+//!   `(world, TTBR0)` key in the current translation epoch, and the
+//!   architectural TLB never re-maps an existing VA within an epoch (a
+//!   flush, `TTBR0` load or page-table store ends it). A TLB flush keeps
+//!   the block and its trace but not its site entries: a block kept from
+//!   an earlier epoch runs again only once the dispatcher has confirmed
+//!   it in the current one, which resets every site. So a surviving site
+//!   entry provably replays what the exact path would compute, and
+//!   accounting one TLB hit per access remains exact.
 //!
 //! The runner (`run_uop_trace`, called from `Machine::step_superblock`
-//! in [`crate::exec`]) executes specialised traces over a flat copy of
-//! the fifteen user-visible registers and a local `CPSR`, committing at
-//! the end or at the exact retired prefix on any hazard — the same stop
-//! discipline, cycle accounting and fallback ladder (uop → superblock →
-//! accelerator → baseline) as the superblock path, which the four-way
-//! differential suite pins bit-for-bit.
+//! in [`crate::exec`]) executes a trace over a flat copy of the fifteen
+//! user-visible registers and a local `CPSR`, committing at the end or
+//! at the exact retired prefix on any hazard, with the cycle, TLB-hit and
+//! read accounting batched per call; the differential suites pin it
+//! bit-for-bit against the uncached per-instruction interpreter.
 //!
 //! **Linked chaining.** When a trace exits, the runner follows the
 //! exiting block's successor link (`Block::succ`, recorded by the
-//! dispatcher) straight into the next promoted trace, keeping the flat
-//! registers and local `CPSR` — but only while every check the
-//! dispatcher would make for that trace holds: same entry VA, world and
-//! `TTBR0`, a whole pass within the step budget (`UopTrace::steps`),
-//! and the accumulated charge plus the target's `max_charge` below the
-//! wake deadline. Otherwise it commits and returns, and the dispatcher
-//! re-checks the same conditions. A self-loop is the link back to the
-//! same trace; a lone direct branch is a trace with an empty body, so
-//! branchy loops stay inside the runner.
+//! dispatcher) straight into the next trace, keeping the flat registers
+//! and local `CPSR` — but only while every check the dispatcher would
+//! make for that trace holds: same entry VA, world and `TTBR0`,
+//! confirmed in the current translation epoch, a whole pass within the
+//! step budget (`UopTrace::steps`), and the accumulated charge plus the
+//! target's `max_charge` below the wake deadline. Otherwise it commits
+//! and returns, and the dispatcher re-checks the same conditions. A
+//! self-loop is the link back to the same trace; a lone direct branch is
+//! a trace with an empty body, so branchy loops stay inside the runner.
 
 use core::cell::Cell;
 
-use crate::dcache::{Block, BlockEnd};
 use crate::insn::{Cond, DpOp, Insn, MemOffset, Op2, Shift};
 use crate::mem::AccessAttrs;
 use crate::word::{Addr, Word};
@@ -290,19 +288,19 @@ pub(crate) struct Site {
     pub(crate) attrs: AccessAttrs,
 }
 
-/// A specialised micro-op trace, owned by its superblock (kept with it
-/// across translation epochs, and dying with it on every invalidation).
+/// A compiled micro-op trace, owned by its block (kept with it across
+/// translation epochs, and dying with it on every invalidation).
 #[derive(Clone, Debug)]
 pub(crate) struct UopTrace {
-    /// The specialised body; one entry per block body instruction
-    /// (minus the one folded into a `UopEnd::FusedBranch`).
+    /// The compiled body; one entry per scanned body instruction (minus
+    /// the one folded into a `UopEnd::FusedBranch`).
     pub(crate) body: Box<[UopEntry]>,
-    /// The specialised exit.
+    /// The compiled exit.
     pub(crate) end: UopEnd,
-    /// Architectural steps one whole pass consumes: the block's body
-    /// plus its ending branch (fusion moves an instruction into the exit
-    /// without changing the count) — the dispatcher's whole-trace
-    /// budget threshold, re-checked before the runner hops into a trace.
+    /// Architectural steps one whole pass consumes: the scanned body plus
+    /// its ending branch (fusion moves an instruction into the exit
+    /// without changing the count) — the dispatcher's whole-trace budget
+    /// threshold, re-checked before the runner hops into a trace.
     pub(crate) steps: u64,
     /// Per-site translation slots, indexed by the `site` field of the
     /// body's memory uops. Interior-mutable so the runner can refill a
@@ -314,11 +312,11 @@ pub(crate) struct UopTrace {
 /// instruction `i`'s flag writes may be observed (by a later condition
 /// field, carry-in consumer, `MRS`, memory-op stop point, or the trace
 /// exit) and must therefore run the exact flag path.
-fn flag_liveness(body: &[(Insn, Cond)]) -> Vec<bool> {
+fn flag_liveness(body: &[(Word, Insn, Cond)]) -> Vec<bool> {
     let mut need = vec![false; body.len()];
     // The exit observes everything: the final CPSR is architectural.
     let mut live = FLAG_ALL;
-    for (i, &(insn, cond)) in body.iter().enumerate().rev() {
+    for (i, &(_, insn, cond)) in body.iter().enumerate().rev() {
         if matches!(insn, Insn::Ldr { .. } | Insn::Str { .. }) {
             // A hazard can stop the trace right before this access: the
             // committed CPSR at that point must already be exact.
@@ -359,17 +357,19 @@ fn lower_src(op2: Op2) -> Src {
     }
 }
 
-/// Specialises a superblock into a micro-op trace. Pure function of the
-/// block: the caller stores the result in the block and is responsible
-/// for dropping it under the block cache's invalidation discipline.
-pub(crate) fn specialise(b: &Block) -> UopTrace {
-    let need = flag_liveness(&b.body);
-    let mut body: Vec<UopEntry> = Vec::with_capacity(b.body.len());
+/// Compiles a scanned block — its straight-line body, a run of the
+/// decoded page's `(word, insn, cond)` entries, and its end,
+/// `UopEnd::Fall` or `UopEnd::Branch` — into a micro-op trace.
+/// Pure function of its inputs: the caller stores the result in the
+/// block and drops it under the block cache's invalidation discipline.
+pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrace {
+    let need = flag_liveness(scanned);
+    let mut body: Vec<UopEntry> = Vec::with_capacity(scanned.len());
     let mut sites = 0u16;
     // Build-time constant tracking for MOVW/MOVT pair folding; an entry
     // is invalidated by any (possibly conditional) write to its register.
     let mut known: [Option<Word>; 15] = [None; 15];
-    for (i, &(insn, cond)) in b.body.iter().enumerate() {
+    for (i, &(_, insn, cond)) in scanned.iter().enumerate() {
         let uop = match insn {
             Insn::Dp {
                 op, s, rd, rn, op2, ..
@@ -492,8 +492,8 @@ pub(crate) fn specialise(b: &Block) -> UopTrace {
                     }
                 }
             }
-            // The superblock builder admits nothing else into a body.
-            _ => unreachable!("superblock admitted an unspecialisable instruction"),
+            // The block builder admits nothing else into a body.
+            _ => unreachable!("block admitted an unspecialisable instruction"),
         };
         // Update the constant-tracking state from the *emitted* uop.
         match uop {
@@ -506,12 +506,10 @@ pub(crate) fn specialise(b: &Block) -> UopTrace {
         }
         body.push(UopEntry { cond, op: uop });
     }
+    let steps = scanned.len() as u64 + matches!(end, UopEnd::Branch { .. }) as u64;
     // Compare+branch fusion: a trace ending `<unconditional flag-setting
     // ALU>; B<c>` collapses into a single conditional-exit uop.
-    let mut end = match b.end {
-        BlockEnd::Fallthrough => UopEnd::Fall,
-        BlockEnd::Branch { cond, target, link } => UopEnd::Branch { cond, target, link },
-    };
+    let mut end = end;
     if let UopEnd::Branch { cond, target, link } = end {
         if let Some(&UopEntry {
             cond: Cond::Al,
@@ -541,7 +539,7 @@ pub(crate) fn specialise(b: &Block) -> UopTrace {
     UopTrace {
         body: body.into_boxed_slice(),
         end,
-        steps: b.body.len() as u64 + matches!(b.end, BlockEnd::Branch { .. }) as u64,
+        steps,
         sites: vec![Cell::new(None); sites as usize].into_boxed_slice(),
     }
 }
@@ -569,28 +567,11 @@ fn uop_dest(u: &Uop) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mode::World;
     use crate::regs::Reg;
 
-    fn block(body: Vec<(Insn, Cond)>, end: BlockEnd) -> Block {
-        Block {
-            entry_va: 0x8000,
-            world: World::Secure,
-            ttbr0: 0x8000_0000,
-            pa_page: 0x8000_2000,
-            attrs: crate::mem::AccessAttrs::ENCLAVE,
-            epoch: 0,
-            body: body.into_boxed_slice(),
-            end,
-            max_charge: 64,
-            succ: [None, None],
-            hot: 0,
-            uop: None,
-        }
-    }
-
-    fn dp(op: DpOp, s: bool, rd: u8, rn: u8, op2: Op2) -> (Insn, Cond) {
+    fn dp(op: DpOp, s: bool, rd: u8, rn: u8, op2: Op2) -> (Word, Insn, Cond) {
         (
+            0,
             Insn::Dp {
                 cond: Cond::Al,
                 op,
@@ -608,14 +589,13 @@ mod tests {
         // adds r0,r0,#1 ; cmp r1,#0 — the adds flags are killed by the
         // unconditional cmp with no observer between; the cmp feeds the
         // exit (all-live), so it stays on the exact path.
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Cmp, true, 0, 1, Op2::imm(0)),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert_eq!(
             t.body[0].op,
             Uop::AddImm {
@@ -632,10 +612,11 @@ mod tests {
         // cmp r0,#1 ; mov r2,#0 ; ldr r3,[r4] ; adds r5,r5,#1 ; cmp r6,#2
         // First cmp: killed by the second? No — the load between them is
         // an observation point, so the first cmp must materialise.
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Cmp, true, 0, 0, Op2::imm(1)),
                 (
+                    0,
                     Insn::Ldr {
                         cond: Cond::Al,
                         rd: Reg::R(3),
@@ -651,9 +632,8 @@ mod tests {
                 dp(DpOp::Add, true, 5, 5, Op2::imm(1)),
                 dp(DpOp::Cmp, true, 0, 6, Op2::imm(2)),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert!(
             matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Cmp, .. }),
             "flags live across the load stop point: {:?}",
@@ -675,14 +655,13 @@ mod tests {
     fn dead_compare_is_a_nop() {
         // cmp r0,#1 ; cmp r1,#2 — the first compare's flags are fully
         // overwritten by the second before anything observes them.
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Cmp, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Cmp, true, 0, 1, Op2::imm(2)),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert_eq!(t.body[0].op, Uop::Nop);
         assert!(matches!(t.body[1].op, Uop::AluFlags { .. }));
     }
@@ -691,14 +670,13 @@ mod tests {
     fn logical_s_op_does_not_kill_v() {
         // adds r0,r0,#1 (writes V) ; tst r1,#1 (writes NZC, V passes
         // through) ; exit observes V — the adds must stay exact.
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Tst, true, 0, 1, Op2::imm(1)),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Add, .. }));
     }
 
@@ -707,34 +685,30 @@ mod tests {
         // eors r3,r5,r1,lsl #16 (fresh C from the shifter) ; tst r4,#243
         // (unrotated immediate: C passes through) ; the exit observes C,
         // so the eors flags must stay exact.
-        let b = block(
-            vec![
-                dp(
-                    DpOp::Eor,
-                    true,
-                    3,
-                    5,
-                    Op2::Reg {
-                        rm: Reg::R(1),
-                        shift: Shift::Lsl,
-                        amount: 16,
-                    },
-                ),
-                dp(DpOp::Tst, true, 0, 4, Op2::imm(243)),
-            ],
-            BlockEnd::Fallthrough,
+        let eors = dp(
+            DpOp::Eor,
+            true,
+            3,
+            5,
+            Op2::Reg {
+                rm: Reg::R(1),
+                shift: Shift::Lsl,
+                amount: 16,
+            },
         );
-        let t = specialise(&b);
+        let t = specialise(
+            &[eors, dp(DpOp::Tst, true, 0, 4, Op2::imm(243))],
+            UopEnd::Fall,
+        );
         assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Eor, .. }));
         // A rotated immediate does produce a carry-out: the eors dies.
-        let b = block(
-            vec![
-                b.body[0],
+        let t = specialise(
+            &[
+                eors,
                 dp(DpOp::Tst, true, 0, 4, Op2::Imm { imm8: 3, rot: 1 }),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert!(matches!(t.body[0].op, Uop::Alu { op: DpOp::Eor, .. }));
     }
 
@@ -743,21 +717,15 @@ mod tests {
         // adds r0,r0,#1 ; addseq r1,r1,#1 — the conditional flag-setter
         // may not execute, so it can't kill the first adds' flags, and it
         // must itself materialise.
-        let mut b = block(
-            vec![
-                dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
-                dp(DpOp::Add, true, 1, 1, Op2::imm(1)),
-            ],
-            BlockEnd::Fallthrough,
-        );
-        // Make the second adds conditional.
-        let mut v: Vec<(Insn, Cond)> = b.body.to_vec();
-        if let Insn::Dp { ref mut cond, .. } = v[1].0 {
+        let mut addseq = dp(DpOp::Add, true, 1, 1, Op2::imm(1));
+        if let Insn::Dp { ref mut cond, .. } = addseq.1 {
             *cond = Cond::Eq;
         }
-        v[1].1 = Cond::Eq;
-        b.body = v.into_boxed_slice();
-        let t = specialise(&b);
+        addseq.2 = Cond::Eq;
+        let t = specialise(
+            &[dp(DpOp::Add, true, 0, 0, Op2::imm(1)), addseq],
+            UopEnd::Fall,
+        );
         assert!(matches!(t.body[0].op, Uop::AluFlags { .. }));
         assert!(matches!(t.body[1].op, Uop::AluFlags { .. }));
         assert_eq!(t.body[1].cond, Cond::Eq);
@@ -765,9 +733,10 @@ mod tests {
 
     #[test]
     fn movw_movt_pair_folds_to_one_constant() {
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 (
+                    0,
                     Insn::Movw {
                         cond: Cond::Al,
                         rd: Reg::R(8),
@@ -776,6 +745,7 @@ mod tests {
                     Cond::Al,
                 ),
                 (
+                    0,
                     Insn::Movt {
                         cond: Cond::Al,
                         rd: Reg::R(8),
@@ -784,9 +754,8 @@ mod tests {
                     Cond::Al,
                 ),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert_eq!(
             t.body[1].op,
             Uop::MovConst {
@@ -798,18 +767,17 @@ mod tests {
 
     #[test]
     fn compare_branch_fuses_into_the_exit() {
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Add, false, 0, 0, Op2::imm(1)),
                 dp(DpOp::Sub, true, 7, 7, Op2::imm(1)),
             ],
-            BlockEnd::Branch {
+            UopEnd::Branch {
                 cond: Cond::Ne,
                 target: 0x8000,
                 link: false,
             },
         );
-        let t = specialise(&b);
         assert_eq!(t.body.len(), 1, "subs folded into the exit");
         assert!(matches!(
             t.end,
@@ -825,10 +793,11 @@ mod tests {
 
     #[test]
     fn negative_offsets_fold_to_wrapping_addends() {
-        let b = block(
-            vec![
+        let t = specialise(
+            &[
                 dp(DpOp::Add, false, 0, 0, Op2::imm(1)),
                 (
+                    0,
                     Insn::Ldr {
                         cond: Cond::Al,
                         rd: Reg::R(1),
@@ -842,9 +811,8 @@ mod tests {
                     Cond::Al,
                 ),
             ],
-            BlockEnd::Fallthrough,
+            UopEnd::Fall,
         );
-        let t = specialise(&b);
         assert!(matches!(
             t.body[1].op,
             Uop::Load {

@@ -17,7 +17,7 @@ use komodo_armv7::mode::{Mode, World};
 use komodo_armv7::psr::Psr;
 use komodo_armv7::ptw::{l1_coarse_desc, l2_page_desc, PagePerms};
 use komodo_armv7::regs::Reg;
-use komodo_armv7::{Assembler, ExitReason, Insn, Machine};
+use komodo_armv7::{Assembler, ExitReason, Insn, Machine, SbStats};
 use proptest::prelude::*;
 
 const CODE_VA: u32 = 0x8000;
@@ -365,25 +365,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cycle-model preservation, adversarially and four ways: for
-    /// *arbitrary* code (including garbage that faults, branches wild, or
-    /// self-traps), the micro-op tier, the superblock engine, the
-    /// accelerator-only configuration, and plain per-instruction stepping
-    /// all yield bit-identical machines — registers, memory contents,
-    /// access counters, TLB hit/miss/flush statistics, the cycle counter —
-    /// and identical exits.
+    /// Cycle-model preservation, adversarially: for *arbitrary* code
+    /// (including garbage that faults, branches wild, or self-traps), the
+    /// compiled configuration and the uncached per-instruction
+    /// interpreter yield bit-identical machines — registers, memory
+    /// contents, access counters, TLB hit/miss/flush statistics, the
+    /// cycle counter — and identical exits.
     #[test]
     fn prop_fetch_accel_is_architecturally_invisible(
         code in proptest::collection::vec(any::<u32>(), 1..64),
         init in proptest::array::uniform8(any::<u32>()),
         irq_after in 0u64..500,
     ) {
-        let run = |accel: bool, superblocks: bool, uops: bool| {
+        let run = |accel: bool| {
             let mut m = machine_with(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in init.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -393,34 +389,22 @@ proptest! {
             let exit = m.run_user(2_000).unwrap();
             (m, exit)
         };
-        let (uop, exit_uop) = run(true, true, true);
-        let (sb, exit_sb) = run(true, true, false);
-        let (on, exit_on) = run(true, false, false);
-        let (off, exit_off) = run(false, false, false);
-        prop_assert_eq!(exit_uop, exit_sb);
-        prop_assert_eq!(exit_sb, exit_on);
+        let (on, exit_on) = run(true);
+        let (off, exit_off) = run(false);
         prop_assert_eq!(exit_on, exit_off);
-        prop_assert_eq!(uop.cycles, off.cycles, "uop cycle model diverged");
-        prop_assert_eq!(sb.cycles, off.cycles, "superblock cycle model diverged");
         prop_assert_eq!(on.cycles, off.cycles, "cycle model diverged");
-        prop_assert_eq!(uop.tlb.hits, off.tlb.hits, "uop TLB hit accounting diverged");
-        prop_assert_eq!(sb.tlb.hits, off.tlb.hits, "superblock TLB hit accounting diverged");
         prop_assert_eq!(on.tlb.hits, off.tlb.hits, "TLB hit accounting diverged");
         prop_assert_eq!(on.tlb.misses, off.tlb.misses, "TLB miss accounting diverged");
         prop_assert_eq!(on.tlb.flushes, off.tlb.flushes);
-        prop_assert_eq!(uop.mem.reads, off.mem.reads, "uop read counter diverged");
-        prop_assert_eq!(sb.mem.reads, off.mem.reads, "superblock read counter diverged");
         prop_assert_eq!(on.mem.reads, off.mem.reads, "read counter diverged");
         prop_assert_eq!(on.mem.writes, off.mem.writes, "write counter diverged");
-        prop_assert!(uop == off, "uop architectural state diverged");
-        prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
     }
 
-    /// Same four-way invisibility property on a structured compute
-    /// kernel with loops, memory traffic, and interrupt preemption/resume
-    /// — the case where the accelerator's caches (and the superblock
-    /// cache, and its promoted micro-op traces) are actually hot.
+    /// Same invisibility property on a structured compute kernel with
+    /// loops, memory traffic, and interrupt preemption/resume — the case
+    /// where the accelerator's caches and compiled traces are actually
+    /// hot.
     #[test]
     fn prop_fetch_accel_invisible_under_preemption(
         seed_vals in proptest::array::uniform4(any::<u32>()),
@@ -441,15 +425,9 @@ proptest! {
         a.svc(0);
         let code = a.words();
 
-        let run = |accel: bool,
-                   superblocks: bool,
-                   uops: bool|
-         -> Result<Machine, proptest::test_runner::TestCaseError> {
+        let run = |accel: bool| -> Result<Machine, proptest::test_runner::TestCaseError> {
             let mut m = machine_with(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in seed_vals.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -466,34 +444,21 @@ proptest! {
             }
             Ok(m)
         };
-        let uop = run(true, true, true)?;
-        let sb = run(true, true, false)?;
-        let on = run(true, false, false)?;
-        let off = run(false, false, false)?;
+        let on = run(true)?;
+        let off = run(false)?;
         prop_assert!(on.accel.served() > 100, "accelerator never engaged");
-        prop_assert!(
-            sb.superblock_stats().hits > 0,
-            "superblock engine never engaged"
-        );
-        prop_assert!(
-            uop.superblock_stats().uop_promoted > 0,
-            "hot loop never promoted to a micro-op trace"
-        );
-        prop_assert_eq!(sb.superblock_stats().uop_promoted, 0, "promotion ran while disabled");
-        prop_assert_eq!(on.superblock_stats().hits, 0, "engine ran while disabled");
-        prop_assert_eq!(uop.cycles, off.cycles);
-        prop_assert_eq!(sb.cycles, off.cycles);
+        let s = on.superblock_stats();
+        prop_assert!(s.hits > 0, "block engine never engaged");
+        prop_assert!(s.uop_hits > 0, "hot loop never ran its compiled trace");
+        prop_assert_eq!(off.accel.served(), 0, "accelerator ran while disabled");
+        prop_assert_eq!(off.superblock_stats(), SbStats::default(), "engine ran while disabled");
         prop_assert_eq!(on.cycles, off.cycles);
-        prop_assert_eq!(uop.tlb.hits, off.tlb.hits);
-        prop_assert_eq!(sb.tlb.hits, off.tlb.hits);
         prop_assert_eq!(on.tlb.hits, off.tlb.hits);
         prop_assert_eq!(on.tlb.misses, off.tlb.misses);
-        prop_assert!(uop == off, "uop architectural state diverged");
-        prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
     }
 
-    /// Four-way invisibility on *memory-heavy* programs: random mixes of
+    /// Invisibility on *memory-heavy* programs: random mixes of
     /// single-register loads/stores (word and byte, immediate and
     /// register offsets, both directions) and ALU work, with bases that
     /// range from well-mapped data pages to wild pointers — so in-block
@@ -513,12 +478,9 @@ proptest! {
         }
         a.svc(0);
         let code = a.words();
-        let run = |accel: bool, superblocks: bool, uops: bool| {
+        let run = |accel: bool| {
             let mut m = machine_with(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in init.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -531,31 +493,21 @@ proptest! {
             let exit = m.run_user(2_000).unwrap();
             (m, exit)
         };
-        let (uop, exit_uop) = run(true, true, true);
-        let (sb, exit_sb) = run(true, true, false);
-        let (on, exit_on) = run(true, false, false);
-        let (off, exit_off) = run(false, false, false);
-        prop_assert_eq!(exit_uop, exit_sb);
-        prop_assert_eq!(exit_sb, exit_on);
+        let (on, exit_on) = run(true);
+        let (off, exit_off) = run(false);
         prop_assert_eq!(exit_on, exit_off);
-        prop_assert_eq!(uop.cycles, off.cycles, "uop cycle model diverged");
-        prop_assert_eq!(sb.cycles, off.cycles, "superblock cycle model diverged");
-        prop_assert_eq!(uop.tlb.hits, off.tlb.hits, "uop TLB hit accounting diverged");
-        prop_assert_eq!(sb.tlb.hits, off.tlb.hits, "TLB hit accounting diverged");
-        prop_assert_eq!(sb.tlb.misses, off.tlb.misses, "TLB miss accounting diverged");
-        prop_assert_eq!(uop.mem.reads, off.mem.reads, "uop read counter diverged");
-        prop_assert_eq!(sb.mem.reads, off.mem.reads, "read counter diverged");
-        prop_assert_eq!(uop.mem.writes, off.mem.writes, "uop write counter diverged");
-        prop_assert_eq!(sb.mem.writes, off.mem.writes, "write counter diverged");
-        prop_assert!(uop == off, "uop architectural state diverged");
-        prop_assert!(sb == off, "superblock architectural state diverged");
+        prop_assert_eq!(on.cycles, off.cycles, "cycle model diverged");
+        prop_assert_eq!(on.tlb.hits, off.tlb.hits, "TLB hit accounting diverged");
+        prop_assert_eq!(on.tlb.misses, off.tlb.misses, "TLB miss accounting diverged");
+        prop_assert_eq!(on.mem.reads, off.mem.reads, "read counter diverged");
+        prop_assert_eq!(on.mem.writes, off.mem.writes, "write counter diverged");
         prop_assert!(on == off, "architectural state diverged");
     }
 
     /// A structured memory kernel — the shape the data-side fast path is
-    /// built for — stays four-way identical under preemption/resume, and
-    /// the superblock configuration demonstrably serves its loads/stores
-    /// from the data-TLB (the uop configuration from its inlined sites).
+    /// built for — stays identical under preemption/resume, and the
+    /// compiled configuration demonstrably serves its loads/stores from
+    /// its trace's sites, refilled from the data-TLB.
     #[test]
     fn prop_memory_kernel_rides_the_dtlb_invisibly(
         seed_vals in proptest::array::uniform4(any::<u32>()),
@@ -575,15 +527,9 @@ proptest! {
         a.b_to(Cond::Ne, top);
         a.svc(0);
         let code = a.words();
-        let run = |accel: bool,
-                   superblocks: bool,
-                   uops: bool|
-         -> Result<Machine, proptest::test_runner::TestCaseError> {
+        let run = |accel: bool| -> Result<Machine, proptest::test_runner::TestCaseError> {
             let mut m = machine_with(&code);
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in seed_vals.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -600,40 +546,31 @@ proptest! {
             }
             Ok(m)
         };
-        let uop = run(true, true, true)?;
-        let sb = run(true, true, false)?;
-        let on = run(true, false, false)?;
-        let off = run(false, false, false)?;
+        let on = run(true)?;
+        let off = run(false)?;
         prop_assert!(
-            sb.superblock_stats().dtlb_hits > 0,
-            "memory kernel never hit the data-TLB fast path"
+            on.superblock_stats().dtlb_hits > 0,
+            "memory kernel's sites never refilled from the data-TLB"
         );
         prop_assert!(
-            uop.superblock_stats().uop_hits > 0,
-            "memory kernel never ran its specialised trace"
+            on.superblock_stats().uop_hits > 0,
+            "memory kernel never ran its compiled trace"
         );
         prop_assert_eq!(off.superblock_stats().dtlb_hits, 0, "baseline touched the data-TLB");
-        prop_assert_eq!(uop.cycles, off.cycles);
-        prop_assert_eq!(sb.cycles, off.cycles);
-        prop_assert_eq!(uop.tlb.hits, off.tlb.hits);
-        prop_assert_eq!(sb.tlb.hits, off.tlb.hits);
-        prop_assert_eq!(sb.tlb.misses, off.tlb.misses);
-        prop_assert_eq!(uop.mem.reads, off.mem.reads);
-        prop_assert_eq!(sb.mem.reads, off.mem.reads);
-        prop_assert_eq!(uop.mem.writes, off.mem.writes);
-        prop_assert_eq!(sb.mem.writes, off.mem.writes);
-        prop_assert!(uop == off, "uop architectural state diverged");
-        prop_assert!(sb == off, "superblock architectural state diverged");
+        prop_assert_eq!(on.cycles, off.cycles);
+        prop_assert_eq!(on.tlb.hits, off.tlb.hits);
+        prop_assert_eq!(on.tlb.misses, off.tlb.misses);
+        prop_assert_eq!(on.mem.reads, off.mem.reads);
+        prop_assert_eq!(on.mem.writes, off.mem.writes);
         prop_assert!(on == off, "architectural state diverged");
     }
 
-    /// Satellite property for the micro-op tier: random promotion traffic
-    /// interleaved with random invalidation causes. Each round runs the
-    /// hot kernel (promoting traces once hot), then applies one randomly
+    /// Compiled traces under random invalidation causes. Each round runs
+    /// the hot kernel from its compiled traces, then applies one randomly
     /// chosen cause — nothing, a TLB flush, a TTBR0 reload, a world
     /// round-trip, a store into the code page, or one of three remaps —
-    /// and the final machines and exit sequences stay four-way
-    /// bit-identical throughout.
+    /// and the final machines and exit sequences stay bit-identical to
+    /// the interpreter's throughout.
     ///
     /// The remaps each write a page-table entry, note the page-table
     /// store and flush, and none stores into a code page, so only the
@@ -645,7 +582,7 @@ proptest! {
     /// which every tier must prefetch-abort at the same state (until a
     /// cause 5 maps code again).
     #[test]
-    fn prop_random_promotions_survive_random_invalidations(
+    fn prop_compiled_traces_survive_random_invalidations(
         seed_vals in proptest::array::uniform4(any::<u32>()),
         causes in proptest::collection::vec(0u8..8, 1..12),
     ) {
@@ -668,9 +605,7 @@ proptest! {
             a.words()
         };
         let kernels = [kernel(false), kernel(true)];
-        let run = |accel: bool,
-                   superblocks: bool,
-                   uops: bool|
+        let run = |accel: bool|
          -> Result<(Machine, Vec<ExitReason>), proptest::test_runner::TestCaseError> {
             let mut m = machine_with(&kernels[0]);
             m.mem.load_words(CODE_PAS[1], &kernels[1]).unwrap();
@@ -678,9 +613,6 @@ proptest! {
                 .load_words(DATA_PAS[1], &[0x0bad_cafe, 0x1234_5678])
                 .unwrap();
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in seed_vals.iter().enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -716,7 +648,7 @@ proptest! {
                     4 => {
                         // Host-side store into the (watched) code page: the
                         // write-watch generation bump must drop decodes,
-                        // blocks and promoted traces alike. The word is the
+                        // blocks and their traces alike. The word is the
                         // one already at offset 3 (the loop's ALU op), so
                         // the program's behaviour is unchanged.
                         m.mem
@@ -741,24 +673,14 @@ proptest! {
             }
             Ok((m, exits))
         };
-        let (uop, exits_uop) = run(true, true, true)?;
-        let (sb, exits_sb) = run(true, true, false)?;
-        let (on, exits_on) = run(true, false, false)?;
-        let (off, exits_off) = run(false, false, false)?;
-        prop_assert!(
-            uop.superblock_stats().uop_promoted > 0,
-            "hot kernel never promoted"
-        );
-        prop_assert_eq!(&exits_uop, &exits_off, "uop exit sequence diverged");
-        prop_assert_eq!(&exits_sb, &exits_off, "superblock exit sequence diverged");
-        prop_assert_eq!(&exits_on, &exits_off, "accel-only exit sequence diverged");
-        prop_assert_eq!(uop.cycles, off.cycles, "uop cycle model diverged");
-        prop_assert_eq!(sb.cycles, off.cycles, "superblock cycle model diverged");
-        prop_assert_eq!(uop.tlb.hits, off.tlb.hits, "uop TLB accounting diverged");
-        prop_assert_eq!(uop.mem.reads, off.mem.reads, "uop read counter diverged");
-        prop_assert_eq!(uop.mem.writes, off.mem.writes, "uop write counter diverged");
-        prop_assert!(uop == off, "uop architectural state diverged");
-        prop_assert!(sb == off, "superblock architectural state diverged");
+        let (on, exits_on) = run(true)?;
+        let (off, exits_off) = run(false)?;
+        prop_assert!(on.superblock_stats().uop_hits > 0, "hot kernel never ran compiled");
+        prop_assert_eq!(&exits_on, &exits_off, "exit sequence diverged");
+        prop_assert_eq!(on.cycles, off.cycles, "cycle model diverged");
+        prop_assert_eq!(on.tlb.hits, off.tlb.hits, "TLB accounting diverged");
+        prop_assert_eq!(on.mem.reads, off.mem.reads, "read counter diverged");
+        prop_assert_eq!(on.mem.writes, off.mem.writes, "write counter diverged");
         prop_assert!(on == off, "architectural state diverged");
     }
 }
@@ -949,18 +871,18 @@ fn branchy_kernel(seed: u64) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Linked chaining, four ways: random branchy kernels (forward
-    /// conditional skips, lone-branch diamonds, a `BL` leaf returning by
-    /// `BX LR`, self-looping inner loops, a conditional back-edge) run
-    /// with promotion forced at two dispatches, under step budgets and
-    /// chains of IRQ deadlines drawn to land mid-chain, each run resumed
+    /// Linked chaining: random branchy kernels (forward conditional
+    /// skips, lone-branch diamonds, a `BL` leaf returning by `BX LR`,
+    /// self-looping inner loops, a conditional back-edge) run compiled,
+    /// under step budgets and chains of IRQ deadlines drawn to land
+    /// mid-chain, each run resumed
     /// until the kernel's `SVC`. Between runs `DATA_VA` is re-pointed at
     /// the other of two data pages with different contents, so a linked
     /// hop can meet a block kept from the previous translation epoch whose
-    /// per-site data translations still name the old page. The micro-op,
-    /// superblock, accelerator-only and baseline machines, their exit
-    /// sequences and counters must agree exactly, and the micro-op runner
-    /// must actually have hopped between traces.
+    /// per-site data translations still name the old page. The compiled
+    /// and interpreter machines, their exit sequences and counters must
+    /// agree exactly, and the micro-op runner must actually have hopped
+    /// between traces.
     #[test]
     fn prop_linked_chains_are_architecturally_invisible(
         seed in any::<u64>(),
@@ -969,17 +891,12 @@ proptest! {
         irqs in proptest::collection::vec(1u64..800, 0..4),
     ) {
         let code = branchy_kernel(seed);
-        let run = |accel: bool,
-                   superblocks: bool,
-                   uops: bool|
+        let run = |accel: bool|
          -> Result<(Machine, Vec<ExitReason>), proptest::test_runner::TestCaseError> {
             let mut m = machine_with(&code);
             let second: Vec<u32> = (0..64u32).map(|i| 0x5a5a_0000 ^ i.wrapping_mul(0x9e37)).collect();
             m.mem.load_words(DATA_PAS[1], &second).unwrap();
             m.set_fetch_accel(accel);
-            m.set_superblocks(superblocks);
-            m.set_uop_traces(uops);
-            m.set_uop_threshold(2);
             for (i, v) in init.iter().take(6).enumerate() {
                 m.regs.set(Mode::User, Reg::R(i as u8), *v);
             }
@@ -1005,23 +922,16 @@ proptest! {
             }
             Ok((m, exits))
         };
-        let (uop, exits_uop) = run(true, true, true)?;
-        let (sb, exits_sb) = run(true, true, false)?;
-        let (on, exits_on) = run(true, false, false)?;
-        let (off, exits_off) = run(false, false, false)?;
-        prop_assert_eq!(&exits_uop, &exits_off, "uop exit sequence diverged");
-        prop_assert_eq!(&exits_sb, &exits_off, "superblock exit sequence diverged");
-        prop_assert_eq!(&exits_on, &exits_off, "accel-only exit sequence diverged");
-        for (name, m) in [("uop", &uop), ("superblock", &sb), ("accel-only", &on)] {
-            prop_assert_eq!(m.cycles, off.cycles, "{} cycle model diverged", name);
-            prop_assert_eq!(m.tlb.hits, off.tlb.hits, "{} TLB hits diverged", name);
-            prop_assert_eq!(m.tlb.misses, off.tlb.misses, "{} TLB misses diverged", name);
-            prop_assert_eq!(m.mem.reads, off.mem.reads, "{} reads diverged", name);
-            prop_assert_eq!(m.mem.writes, off.mem.writes, "{} writes diverged", name);
-            prop_assert!(*m == off, "{} architectural state diverged", name);
-        }
-        let s = uop.superblock_stats();
-        prop_assert!(s.uop_promoted > 0, "no trace promoted: {:?}", s);
+        let (on, exits_on) = run(true)?;
+        let (off, exits_off) = run(false)?;
+        prop_assert_eq!(&exits_on, &exits_off, "exit sequence diverged");
+        prop_assert_eq!(on.cycles, off.cycles, "cycle model diverged");
+        prop_assert_eq!(on.tlb.hits, off.tlb.hits, "TLB hits diverged");
+        prop_assert_eq!(on.tlb.misses, off.tlb.misses, "TLB misses diverged");
+        prop_assert_eq!(on.mem.reads, off.mem.reads, "reads diverged");
+        prop_assert_eq!(on.mem.writes, off.mem.writes, "writes diverged");
+        prop_assert!(on == off, "architectural state diverged");
+        let s = on.superblock_stats();
         prop_assert!(s.uop_linked > 0, "the runner never hopped: {:?}", s);
         prop_assert!(s.chained >= s.uop_linked, "hops must count as chained hits: {:?}", s);
     }

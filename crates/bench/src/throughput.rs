@@ -1,22 +1,20 @@
 //! Host-side simulator throughput: how many *simulated* instructions the
-//! machine model retires per *host* second, across the four stepping
+//! machine model retires per *host* second, in the two stepping
 //! configurations (`komodo_armv7::dcache` and `komodo_armv7::uop`):
 //!
-//! - **uop** — superblocks plus micro-op trace specialisation: hot
-//!   blocks are lifted to a const-folded, dead-flag-eliminated,
-//!   branch-fused micro-op IR with per-site inlined translations;
-//! - **superblocks** — predecoded basic-block traces with batched
-//!   accounting and block chaining, on top of the fetch accelerator;
-//! - **accel** — the per-instruction fetch accelerator only;
-//! - **base** — uncached per-instruction decode.
+//! - **uop** — the fetch accelerator with compiled blocks (the
+//!   default): each block is compiled when it is built into a
+//!   const-folded, dead-flag-eliminated, branch-fused micro-op trace with
+//!   per-site inlined translations, and traces chain into each other;
+//! - **base** — the uncached per-instruction interpreter.
 //!
 //! This measures wall-clock speed of the simulator itself, not simulated
-//! cycles — all accelerator tiers are bit-for-bit neutral on the cycle
-//! model, so the only observable difference is here. Each measurement runs
-//! the same workload in all four configurations from identical initial
-//! machines and asserts the final architectural states (registers, flags,
-//! cycle counter, TLB and memory statistics) are equal, making every
-//! benchmark run double as a preservation check.
+//! cycles — the compiled tier is bit-for-bit neutral on the cycle model,
+//! so the only observable difference is here. Each measurement runs the
+//! same workload in both configurations from identical initial machines
+//! and asserts the final architectural states (registers, flags, cycle
+//! counter, TLB and memory statistics) are equal, making every benchmark
+//! run double as a preservation check.
 
 use komodo_armv7::insn::DpOp;
 use komodo_armv7::regs::Reg;
@@ -32,7 +30,7 @@ pub use komodo_guest::user::sandbox as guest;
 
 /// Straight-line workload: a near-page-full run of data-processing
 /// instructions, looped — long sequential fetch runs on one code page,
-/// forming one near-page-sized superblock.
+/// forming one near-page-sized block.
 pub fn straight_line() -> Vec<Word> {
     let mut a = Assembler::new(CODE_VA);
     let top = a.label();
@@ -43,9 +41,8 @@ pub fn straight_line() -> Vec<Word> {
     a.words()
 }
 
-/// Tight-loop workload: a four-instruction hot loop — the last-page and
-/// last-translation caches hit on every iteration, and the superblock
-/// engine dispatches through its taken-branch chain link.
+/// Tight-loop workload: a four-instruction hot loop — the compiled trace
+/// chains back into itself through its taken-branch link.
 pub fn tight_loop() -> Vec<Word> {
     let mut a = Assembler::new(CODE_VA);
     a.mov_imm(Reg::R(0), 0);
@@ -57,9 +54,8 @@ pub fn tight_loop() -> Vec<Word> {
 }
 
 /// Memory-mixing workload: loads and stores interleaved with ALU work.
-/// Since the data-side fast path, the whole loop body forms a single
-/// memory-inclusive superblock whose accesses dispatch through the
-/// software data-TLB.
+/// The whole loop body forms a single memory-inclusive block whose
+/// accesses go through its trace's per-site translations.
 pub fn memory_loop() -> Vec<Word> {
     let mut a = Assembler::new(CODE_VA);
     a.mov_imm32(Reg::R(8), DATA_VA);
@@ -117,7 +113,7 @@ pub fn strided_copy() -> Vec<Word> {
 
 /// Mixed hot loop: loads, stores, a dead flag-setter, a live compare
 /// steering a conditional add, and a fused compare-and-branch exit — one
-/// iteration exercises every specialisation the micro-op tier performs
+/// iteration exercises every specialisation the micro-op compiler performs
 /// (const folding via the hoisted base, dead-flag elimination on the
 /// `ADDS`, compare+branch fusion on the `SUBS`/`BNE` pair, and inlined
 /// data-TLB sites on the load and store).
@@ -158,67 +154,33 @@ pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
     ]
 }
 
-/// One workload's measurement across the four configurations.
+/// One workload's measurement in both configurations.
 #[derive(Clone, Debug)]
 pub struct Throughput {
     /// Workload name.
     pub name: &'static str,
     /// Simulated instructions retired per run.
     pub insns: u64,
-    /// Host instructions/second with micro-op traces + superblocks +
-    /// fetch accelerator.
+    /// Host instructions/second compiled (the default configuration).
     pub uop_ips: f64,
-    /// Host instructions/second with superblocks + fetch accelerator.
-    pub sb_ips: f64,
-    /// Host instructions/second with the fetch accelerator only.
-    pub accel_ips: f64,
-    /// Host instructions/second with neither.
+    /// Host instructions/second on the uncached interpreter.
     pub base_ips: f64,
     /// Unified counter snapshot ([`Machine::metrics_snapshot`]) from the
-    /// micro-op run: superblock, uop, data-TLB, TLB and memory counters
-    /// in one place.
+    /// compiled run: block, trace, data-TLB, TLB and memory counters in
+    /// one place.
     pub metrics: MetricsSnapshot,
 }
 
 impl Throughput {
-    /// Accelerator-only over baseline host throughput (the PR 1 quantity).
-    pub fn speedup(&self) -> f64 {
-        self.accel_ips / self.base_ips
-    }
-
-    /// Superblocks over baseline host throughput.
-    pub fn sb_speedup(&self) -> f64 {
-        self.sb_ips / self.base_ips
-    }
-
-    /// Superblocks over accelerator-only host throughput.
-    pub fn sb_over_accel(&self) -> f64 {
-        self.sb_ips / self.accel_ips
-    }
-
-    /// Micro-op traces over baseline host throughput.
+    /// Compiled over baseline host throughput.
     pub fn uop_speedup(&self) -> f64 {
         self.uop_ips / self.base_ips
     }
-
-    /// Micro-op traces over superblocks-only host throughput — the
-    /// specialisation tier's own contribution.
-    pub fn uop_over_sb(&self) -> f64 {
-        self.uop_ips / self.sb_ips
-    }
 }
 
-fn timed_run(
-    code: &[Word],
-    steps: u64,
-    accel: bool,
-    superblocks: bool,
-    uops: bool,
-) -> (f64, Machine) {
+fn timed_run(code: &[Word], steps: u64, accel: bool) -> (f64, Machine) {
     let mut m = guest(code);
     m.set_fetch_accel(accel);
-    m.set_superblocks(superblocks);
-    m.set_uop_traces(uops);
     let t0 = Instant::now();
     let exit = m.run_user(steps).expect("workload violated model contract");
     let dt = t0.elapsed().as_secs_f64();
@@ -226,79 +188,49 @@ fn timed_run(
     (dt, m)
 }
 
-/// Best-of-N timing with the four configurations interleaved: each rep
-/// times a micro-op run, a superblock run, an accelerator-only run, then
-/// a baseline run, so host-side noise (frequency scaling, scheduling,
-/// cache warmup) hits all sides alike; the fastest rep per side is kept.
-/// Every repeat produces the same final machine — the simulator is
-/// deterministic — so any of them serves for the preservation check.
-#[allow(clippy::type_complexity)]
-fn best_of(
-    reps: u32,
-    code: &[Word],
-    steps: u64,
-) -> (
-    (f64, Machine),
-    (f64, Machine),
-    (f64, Machine),
-    (f64, Machine),
-) {
-    let mut best_uop = timed_run(code, steps, true, true, true);
-    let mut best_sb = timed_run(code, steps, true, true, false);
-    let mut best_on = timed_run(code, steps, true, false, false);
-    let mut best_off = timed_run(code, steps, false, false, false);
+/// Best-of-N timing with the two configurations interleaved: each rep
+/// times a compiled run, then a baseline run, so host-side noise
+/// (frequency scaling, scheduling, cache warmup) hits both sides alike;
+/// the fastest rep per side is kept. Every repeat produces the same final
+/// machine — the simulator is deterministic — so any of them serves for
+/// the preservation check.
+fn best_of(reps: u32, code: &[Word], steps: u64) -> ((f64, Machine), (f64, Machine)) {
+    let mut best_on = timed_run(code, steps, true);
+    let mut best_off = timed_run(code, steps, false);
     for _ in 1..reps {
-        let uop = timed_run(code, steps, true, true, true);
-        if uop.0 < best_uop.0 {
-            best_uop = uop;
-        }
-        let sb = timed_run(code, steps, true, true, false);
-        if sb.0 < best_sb.0 {
-            best_sb = sb;
-        }
-        let on = timed_run(code, steps, true, false, false);
+        let on = timed_run(code, steps, true);
         if on.0 < best_on.0 {
             best_on = on;
         }
-        let off = timed_run(code, steps, false, false, false);
+        let off = timed_run(code, steps, false);
         if off.0 < best_off.0 {
             best_off = off;
         }
     }
-    (best_uop, best_sb, best_on, best_off)
+    (best_on, best_off)
 }
 
-/// Measures one workload for `steps` simulated instructions in all four
-/// configurations, asserting the four final machines are architecturally
+/// Measures one workload for `steps` simulated instructions in both
+/// configurations, asserting the two final machines are architecturally
 /// identical (the preservation guarantee: same registers, flags, cycle
 /// counter, TLB statistics and memory access counters).
 pub fn measure(name: &'static str, code: &[Word], steps: u64) -> Throughput {
-    let ((dt_uop, m_uop), (dt_sb, m_sb), (dt_on, m_on), (dt_off, m_off)) = best_of(5, code, steps);
-    assert!(
-        m_uop == m_off,
-        "{name}: micro-op tier changed architectural state"
-    );
-    assert!(
-        m_sb == m_off,
-        "{name}: superblock engine changed architectural state"
-    );
+    let ((dt_on, m_on), (dt_off, m_off)) = best_of(5, code, steps);
     assert!(
         m_on == m_off,
-        "{name}: accelerator changed architectural state"
+        "{name}: compiled traces changed architectural state"
     );
     Throughput {
         name,
         insns: steps,
-        uop_ips: steps as f64 / dt_uop.max(1e-9),
-        sb_ips: steps as f64 / dt_sb.max(1e-9),
-        accel_ips: steps as f64 / dt_on.max(1e-9),
+        uop_ips: steps as f64 / dt_on.max(1e-9),
         base_ips: steps as f64 / dt_off.max(1e-9),
-        metrics: m_uop.metrics_snapshot(),
+        metrics: m_on.metrics_snapshot(),
     }
 }
 
-/// Runs `code` in the production configuration (superblocks + fetch
-/// accelerator) with the flight recorder armed to `trace_cap` (0 =
+/// Runs `code` in the default (compiled) configuration with the flight
+/// recorder armed to `trace_cap` (0 =
 /// disabled) and an IRQ scheduled early in the run. The interrupt is
 /// taken, returned from, and the workload then runs to its step budget —
 /// so the execution crosses exception entry/exit boundaries instead of
@@ -306,9 +238,6 @@ pub fn measure(name: &'static str, code: &[Word], steps: u64) -> Throughput {
 /// capture. Used by the trace-neutrality differential test.
 pub fn run_with_interrupt(code: &[Word], steps: u64, trace_cap: usize) -> Machine {
     let mut m = guest(code);
-    m.set_fetch_accel(true);
-    m.set_superblocks(true);
-    m.set_uop_traces(true);
     m.set_trace_capacity(trace_cap);
     m.irq_at = Some(500);
     let exit = m.run_user(steps).expect("workload violated model contract");
@@ -320,46 +249,40 @@ pub fn run_with_interrupt(code: &[Word], steps: u64, trace_cap: usize) -> Machin
     m
 }
 
-/// Paired host throughput of one workload in the production
+/// Paired host throughput of one workload in the default (compiled)
 /// configuration with the flight recorder disabled vs armed, returned as
 /// `(off_ips, on_ips)`. The workloads only cross recording sites at
-/// boundary events (superblock builds, exceptions, flushes), so the two
-/// should be indistinguishable — the `sim_throughput` bench gates the
-/// worst case at the instrumentation overhead budget
-/// ([`crate::report::GATES`]).
+/// boundary events (block builds, exceptions, flushes), so the two should
+/// be indistinguishable — the `sim_throughput` bench gates the worst case
+/// at the instrumentation overhead budget ([`crate::report::GATES`]).
 ///
-/// Each rep times the disabled and armed recorder back-to-back and the
-/// pair with the lowest armed/disabled ratio wins. A sustained host
-/// slowdown (frequency step, noisy neighbour) hits both halves of a
-/// pair roughly equally, so the min-ratio pair isolates the recorder's
-/// true cost where independent best-of minima would compare times from
-/// different host conditions.
+/// Each of `reps` pairs times the disabled and armed recorder
+/// back-to-back, and the pair with the median armed/disabled ratio is
+/// returned. A sustained host slowdown (frequency step, noisy neighbour)
+/// hits both halves of a pair roughly equally, so a pair's ratio cancels
+/// it where independent best-of minima would compare times from
+/// different host conditions; the median, unlike the minimum, does not
+/// select the one pair whose noise happened to favour the armed half, so
+/// a real armed-path cost shows in it.
 pub fn trace_overhead(code: &[Word], steps: u64, reps: u32) -> (f64, f64) {
     let timed = |trace_cap: usize| -> f64 {
         let mut m = guest(code);
-        m.set_fetch_accel(true);
-        m.set_superblocks(true);
-        m.set_uop_traces(true);
         m.set_trace_capacity(trace_cap);
         let t0 = Instant::now();
         let exit = m.run_user(steps).expect("workload violated model contract");
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(exit, ExitReason::StepLimit, "workloads must run to budget");
-        dt
+        dt.max(1e-9)
     };
-    let mut best = (f64::INFINITY, 1e-9, 1e-9);
-    for _ in 0..reps {
-        let off = timed(0);
-        let on = timed(4096);
-        let ratio = on / off.max(1e-12);
-        if ratio < best.0 {
-            best = (ratio, off, on);
-        }
-    }
-    (
-        steps as f64 / best.1.max(1e-9),
-        steps as f64 / best.2.max(1e-9),
-    )
+    let mut pairs: Vec<(f64, f64)> = (0..reps.max(1))
+        .map(|_| {
+            let off = timed(0);
+            (off, timed(4096))
+        })
+        .collect();
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (off, on) = pairs[pairs.len() / 2];
+    (steps as f64 / off, steps as f64 / on)
 }
 
 /// Measures every workload in [`workloads`].
@@ -379,10 +302,10 @@ mod tests {
         for (name, code) in workloads() {
             let t = measure(name, &code, 2_000);
             assert_eq!(t.insns, 2_000);
-            assert!(t.uop_ips > 0.0 && t.sb_ips > 0.0 && t.accel_ips > 0.0 && t.base_ips > 0.0);
+            assert!(t.uop_ips > 0.0 && t.base_ips > 0.0);
             assert!(
-                t.metrics.sb_built > 0 && t.metrics.sb_hits > 0,
-                "{name}: superblock engine never engaged"
+                t.metrics.sb_built > 0 && t.metrics.sb_hits > 0 && t.metrics.uop_hits > 0,
+                "{name}: compiled traces never engaged"
             );
             if matches!(
                 name,
@@ -393,16 +316,7 @@ mod tests {
                     "{name}: data-TLB fast path never engaged"
                 );
             }
-            // Every hot-loop workload gets past the promotion threshold
-            // within the 2k-step budget; straight_line's near-page block
-            // only repeats twice, so it legitimately stays unpromoted.
-            if name != "straight_line" {
-                assert!(
-                    t.metrics.uop_promoted > 0 && t.metrics.uop_hits > 0,
-                    "{name}: micro-op tier never engaged"
-                );
-            }
-            // The measured (micro-op) machine never had its recorder
+            // The measured (compiled) machine never had its recorder
             // armed; the snapshot must say so.
             assert_eq!(t.metrics.trace_capacity, 0);
             assert_eq!(t.metrics.trace_recorded, 0);

@@ -145,7 +145,7 @@ pub struct CaseReport {
     pub index: u64,
     /// The case seed (regenerate with [`CaseSpec::generate`]).
     pub seed: u64,
-    /// Execution-ladder tier the case ran on.
+    /// Execution tier the case ran on.
     pub tier: Tier,
     /// Backbone length.
     pub slots: u32,
@@ -439,20 +439,7 @@ fn invariant_violations(p: &mut Platform) -> Vec<String> {
 }
 
 fn apply_tier(m: &mut Machine, tier: Tier) {
-    let (accel, sb, uop) = match tier {
-        Tier::Baseline => (false, false, false),
-        Tier::FetchAccel => (true, false, false),
-        Tier::Superblocks => (true, true, false),
-        Tier::UopTraces => (true, true, true),
-    };
-    m.set_fetch_accel(accel);
-    m.set_superblocks(sb);
-    m.set_uop_traces(uop);
-    if uop {
-        // Bursts repeat the same loops, so a low promotion threshold
-        // gets the specialised tier actually exercised within a case.
-        m.set_uop_threshold(2);
-    }
+    m.set_fetch_accel(tier == Tier::Compiled);
 }
 
 fn encode_run(r: EnclaveRun) -> (u32, u32) {

@@ -18,8 +18,8 @@
 //!   except for the victim enclave's secret — and compares everything
 //!   the OS can observe (the NI oracle), then abstracts the final state
 //!   to the spec `PageDb` and checks its invariants (the refinement
-//!   oracle). Cases rotate through the execution ladder
-//!   (baseline/accel/superblocks/uop) so every engine runs under fire.
+//!   oracle). Cases alternate between the two execution tiers
+//!   (baseline interpreter, compiled traces) so both run under fire.
 //! - [`shrink`]: on failure, a delta-debugging (`ddmin`) pass reduces
 //!   the schedule to a minimal failing sub-schedule, and the final
 //!   report carries side-by-side flight-recorder tails

@@ -153,20 +153,16 @@ pub enum Target {
     Victim,
 }
 
-/// Which rung of the execution ladder the case's machine runs on, so
-/// campaigns exercise every tier under fire. All tiers are
-/// cycle-model-preserving, and both passes of a case use the same tier,
-/// so the choice never affects verdicts — only which engine is stressed.
+/// Which execution tier the case's machine runs on, so campaigns
+/// exercise both under fire. Both tiers are cycle-model-preserving, and
+/// both passes of a case use the same tier, so the choice never affects
+/// verdicts — only which engine is stressed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Plain decode-and-execute.
+    /// The uncached per-instruction interpreter.
     Baseline,
-    /// Fetch/decode acceleration.
-    FetchAccel,
-    /// Superblock predecode on top of the accelerator.
-    Superblocks,
-    /// Specialised micro-op traces on top of superblocks.
-    UopTraces,
+    /// The fetch accelerator with compiled micro-op traces (the default).
+    Compiled,
 }
 
 impl Tier {
@@ -174,9 +170,7 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::Baseline => "baseline",
-            Tier::FetchAccel => "accel",
-            Tier::Superblocks => "superblocks",
-            Tier::UopTraces => "uop",
+            Tier::Compiled => "compiled",
         }
     }
 }
@@ -189,7 +183,7 @@ impl Tier {
 pub struct CaseSpec {
     /// The case seed everything below derives from.
     pub seed: u64,
-    /// Execution-ladder tier for the case's machine.
+    /// Execution tier for the case's machine.
     pub tier: Tier,
     /// The backbone: one enclave burst per slot.
     pub targets: Vec<Target>,
@@ -202,11 +196,11 @@ impl CaseSpec {
     /// Derives the complete case from `seed`.
     pub fn generate(seed: u64) -> CaseSpec {
         let mut rng = SplitMix64::new(seed);
-        let tier = match rng.below(4) {
+        // One draw whatever the bound, so the backbone and the fault
+        // schedule below do not depend on how many tiers there are.
+        let tier = match rng.below(2) {
             0 => Tier::Baseline,
-            1 => Tier::FetchAccel,
-            2 => Tier::Superblocks,
-            _ => Tier::UopTraces,
+            _ => Tier::Compiled,
         };
         let slots = 5 + rng.below(6) as usize; // 5..=10
         let mut targets = Vec::with_capacity(slots);

@@ -663,9 +663,6 @@ fn invoke(
     steps: u64,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
     let mut m = user::sandbox(code);
-    m.set_fetch_accel(true);
-    m.set_superblocks(true);
-    m.set_uop_traces(true);
     if trace_capacity > 0 {
         m.set_trace_capacity(trace_capacity);
     }

@@ -91,17 +91,6 @@ fn render(e: &Event) -> (char, String) {
             'i',
             format!(r#""name":"sb-inval","args":{{"cause":"{}"}}"#, cause.name()),
         ),
-        Event::UopPromote { entry_va, len } => (
-            'i',
-            format!(r#""name":"uop-promote","args":{{"entry_va":{entry_va},"len":{len}}}"#),
-        ),
-        Event::UopInval { cause } => (
-            'i',
-            format!(
-                r#""name":"uop-inval","args":{{"cause":"{}"}}"#,
-                cause.name()
-            ),
-        ),
         Event::ReqDispatch { req, kind } => (
             'B',
             format!(r#""name":"request","args":{{"req":{req},"kind":{kind}}}"#),
@@ -266,12 +255,8 @@ mod tests {
             Event::SbInval {
                 cause: crate::event::InvalCause::CodeGen,
             },
-            Event::UopPromote {
-                entry_va: 0x8000,
-                len: 9,
-            },
-            Event::UopInval {
-                cause: crate::event::InvalCause::Ttbr,
+            Event::SbInval {
+                cause: crate::event::InvalCause::Toggle,
             },
             Event::ReqDispatch { req: 42, kind: 2 },
             Event::ReqComplete { req: 42, ok: true },
@@ -285,7 +270,7 @@ mod tests {
         }
         let j = chrome_trace(r.iter());
         assert_structurally_sound(&j);
-        assert_eq!(j.matches("\"ph\"").count(), 20, "{j}");
+        assert_eq!(j.matches("\"ph\"").count(), 19, "{j}");
         assert!(j.contains(r#""phase":"establish""#), "{j}");
     }
 }

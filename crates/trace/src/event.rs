@@ -54,6 +54,8 @@ pub enum InvalCause {
     World,
     /// A store hit predecoded code (memory generation bump).
     CodeGen,
+    /// The fetch accelerator was switched on or off.
+    Toggle,
 }
 
 impl InvalCause {
@@ -64,6 +66,7 @@ impl InvalCause {
             InvalCause::Ttbr => "ttbr",
             InvalCause::World => "world",
             InvalCause::CodeGen => "code-gen",
+            InvalCause::Toggle => "toggle",
         }
     }
 }
@@ -178,28 +181,16 @@ pub enum Event {
         /// Attribution.
         cause: InvalCause,
     },
-    /// The superblock engine predecoded and admitted a new block.
+    /// The block engine built a new block and compiled its micro-op
+    /// trace.
     SbBuild {
         /// Virtual address of the block's entry point.
         entry_va: u32,
         /// Instructions in the block.
         len: u32,
     },
-    /// The superblock cache dropped all blocks.
+    /// The block cache dropped all blocks and their compiled traces.
     SbInval {
-        /// Attribution.
-        cause: InvalCause,
-    },
-    /// A hot superblock was promoted to a specialised micro-op trace.
-    UopPromote {
-        /// Virtual address of the promoted block's entry point.
-        entry_va: u32,
-        /// Micro-ops in the specialised body (fused exits excluded).
-        len: u32,
-    },
-    /// Specialised micro-op traces were dropped (they die with the
-    /// superblock cache; the cause is the superblock cache's).
-    UopInval {
         /// Attribution.
         cause: InvalCause,
     },
@@ -272,8 +263,6 @@ impl Event {
             Event::DTlbInval { .. } => "dtlb-inval",
             Event::SbBuild { .. } => "sb-build",
             Event::SbInval { .. } => "sb-inval",
-            Event::UopPromote { .. } => "uop-promote",
-            Event::UopInval { .. } => "uop-inval",
             Event::ReqDispatch { .. } => "request",
             Event::ReqComplete { .. } => "request",
             Event::ChaosInject { .. } => "chaos",
@@ -323,10 +312,6 @@ impl core::fmt::Display for Event {
                 write!(f, "sb-build va={entry_va:#010x} len={len}")
             }
             Event::SbInval { cause } => write!(f, "sb-inval cause={}", cause.name()),
-            Event::UopPromote { entry_va, len } => {
-                write!(f, "uop-promote va={entry_va:#010x} len={len}")
-            }
-            Event::UopInval { cause } => write!(f, "uop-inval cause={}", cause.name()),
             Event::ReqDispatch { req, kind } => {
                 write!(f, "req-dispatch req={req} kind={kind}")
             }

@@ -1,7 +1,7 @@
 //! The unified metrics schema.
 //!
 //! Before this crate, the simulator's observability was three bespoke
-//! surfaces read separately: `superblock_stats` (host superblock engine),
+//! surfaces read separately: `superblock_stats` (host block engine),
 //! `dtlb_stats` (software data-TLB), and the raw `Tlb` / `PhysMem`
 //! counters. [`MetricsSnapshot`] is the single schema they all fold
 //! into; `Machine::metrics_snapshot` populates it and the bench JSON
@@ -13,7 +13,7 @@ use core::fmt::Write as _;
 
 /// One machine's counters at a point in time, across every layer:
 /// architectural (cycles, memory, TLB), host-side accelerators
-/// (superblocks, data-TLB), and the flight recorder itself.
+/// (compiled blocks, data-TLB), and the flight recorder itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Simulated cycle counter.
@@ -28,19 +28,20 @@ pub struct MetricsSnapshot {
     pub tlb_misses: u64,
     /// Architectural TLB flushes.
     pub tlb_flushes: u64,
-    /// Superblocks predecoded and admitted.
+    /// Blocks built, each compiled to its micro-op trace.
     pub sb_built: u64,
-    /// Superblock dispatch hits.
+    /// Block dispatch hits.
     pub sb_hits: u64,
-    /// Superblock chained dispatches (block-to-block without re-probe).
+    /// Block chained dispatches (block-to-block without re-probe).
     pub sb_chained: u64,
-    /// Superblock cache drops caused by code-generation bumps
-    /// (self-modifying or newly written code).
+    /// Block cache drops caused by code-generation bumps (self-modifying
+    /// or newly written code).
     pub sb_inval_code_gen: u64,
-    /// Superblock cache drops caused by an accelerator toggle. A TLB
-    /// flush, `TTBR0` load or page-table store keeps the blocks: it starts
-    /// a new translation epoch, in which kept blocks are re-validated.
-    pub sb_inval_tlb: u64,
+    /// Block cache drops caused by switching the fetch accelerator on or
+    /// off. A TLB flush, `TTBR0` load or page-table store keeps the
+    /// blocks: it starts a new translation epoch, in which kept blocks
+    /// are re-validated.
+    pub sb_inval_toggle: u64,
     /// Data-TLB lookups served.
     pub dtlb_hits: u64,
     /// Data-TLB lookups that fell back to the exact path.
@@ -51,14 +52,11 @@ pub struct MetricsSnapshot {
     pub dtlb_inval_ttbr: u64,
     /// Data-TLB drops caused by world switches.
     pub dtlb_inval_world: u64,
-    /// Hot superblocks promoted to specialised micro-op traces.
+    /// Blocks compiled to micro-op traces. Every block is compiled when
+    /// it is built, so this equals `sb_built`.
     pub uop_promoted: u64,
-    /// Dispatches executed through a specialised micro-op trace.
+    /// Dispatches executed through a compiled micro-op trace.
     pub uop_hits: u64,
-    /// Superblock-cache drops that destroyed at least one specialised
-    /// micro-op trace (traces die with the block cache, and survive a TLB
-    /// flush with it).
-    pub uop_invalidations: u64,
     /// Flight-recorder capacity (0 = disabled).
     pub trace_capacity: u64,
     /// Events recorded over the capture's lifetime.
@@ -68,9 +66,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total superblock-cache invalidations across causes.
+    /// Total block-cache invalidations across causes.
     pub fn sb_invalidations(&self) -> u64 {
-        self.sb_inval_code_gen + self.sb_inval_tlb
+        self.sb_inval_code_gen + self.sb_inval_toggle
     }
 
     /// Total data-TLB invalidations across causes.
@@ -82,8 +80,8 @@ impl MetricsSnapshot {
     /// defines (cycles, memory accesses, TLB activity), with every
     /// host-side accelerator and recorder counter zeroed. Runs of the
     /// same guest under different host stepping configurations must
-    /// agree on this projection bit-for-bit — the 4-way differential
-    /// harness compares snapshots through it.
+    /// agree on this projection bit-for-bit — the differential harness
+    /// compares snapshots through it.
     pub fn architectural(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             cycles: self.cycles,
@@ -111,7 +109,7 @@ impl MetricsSnapshot {
         self.sb_hits += other.sb_hits;
         self.sb_chained += other.sb_chained;
         self.sb_inval_code_gen += other.sb_inval_code_gen;
-        self.sb_inval_tlb += other.sb_inval_tlb;
+        self.sb_inval_toggle += other.sb_inval_toggle;
         self.dtlb_hits += other.dtlb_hits;
         self.dtlb_misses += other.dtlb_misses;
         self.dtlb_inval_flush += other.dtlb_inval_flush;
@@ -119,7 +117,6 @@ impl MetricsSnapshot {
         self.dtlb_inval_world += other.dtlb_inval_world;
         self.uop_promoted += other.uop_promoted;
         self.uop_hits += other.uop_hits;
-        self.uop_invalidations += other.uop_invalidations;
         self.trace_capacity += other.trace_capacity;
         self.trace_recorded += other.trace_recorded;
         self.trace_dropped += other.trace_dropped;
@@ -143,7 +140,7 @@ impl MetricsSnapshot {
             sb_inval_code_gen: self
                 .sb_inval_code_gen
                 .saturating_sub(earlier.sb_inval_code_gen),
-            sb_inval_tlb: self.sb_inval_tlb.saturating_sub(earlier.sb_inval_tlb),
+            sb_inval_toggle: self.sb_inval_toggle.saturating_sub(earlier.sb_inval_toggle),
             dtlb_hits: self.dtlb_hits.saturating_sub(earlier.dtlb_hits),
             dtlb_misses: self.dtlb_misses.saturating_sub(earlier.dtlb_misses),
             dtlb_inval_flush: self
@@ -155,9 +152,6 @@ impl MetricsSnapshot {
                 .saturating_sub(earlier.dtlb_inval_world),
             uop_promoted: self.uop_promoted.saturating_sub(earlier.uop_promoted),
             uop_hits: self.uop_hits.saturating_sub(earlier.uop_hits),
-            uop_invalidations: self
-                .uop_invalidations
-                .saturating_sub(earlier.uop_invalidations),
             // Capacity is a configuration, not an accrual: a fixed-size
             // ring would otherwise always delta to zero, hiding whether
             // tracing was on during the window.
@@ -172,7 +166,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent + 2);
         let mut out = String::from("{\n");
-        let fields: [(&str, u64); 24] = [
+        let fields: [(&str, u64); 23] = [
             ("cycles", self.cycles),
             ("mem_reads", self.mem_reads),
             ("mem_writes", self.mem_writes),
@@ -184,7 +178,7 @@ impl MetricsSnapshot {
             ("sb_chained", self.sb_chained),
             ("sb_invalidations", self.sb_invalidations()),
             ("sb_inval_code_gen", self.sb_inval_code_gen),
-            ("sb_inval_tlb", self.sb_inval_tlb),
+            ("sb_inval_toggle", self.sb_inval_toggle),
             ("dtlb_hits", self.dtlb_hits),
             ("dtlb_misses", self.dtlb_misses),
             ("dtlb_invalidations", self.dtlb_invalidations()),
@@ -193,7 +187,6 @@ impl MetricsSnapshot {
             ("dtlb_inval_world", self.dtlb_inval_world),
             ("uop_promoted", self.uop_promoted),
             ("uop_hits", self.uop_hits),
-            ("uop_invalidations", self.uop_invalidations),
             ("trace_capacity", self.trace_capacity),
             ("trace_recorded", self.trace_recorded),
             ("trace_dropped", self.trace_dropped),
@@ -215,7 +208,7 @@ mod tests {
     fn aggregates_sum_per_cause_counters() {
         let s = MetricsSnapshot {
             sb_inval_code_gen: 2,
-            sb_inval_tlb: 3,
+            sb_inval_toggle: 3,
             dtlb_inval_flush: 1,
             dtlb_inval_ttbr: 4,
             dtlb_inval_world: 5,
@@ -277,7 +270,7 @@ mod tests {
             "sb_chained",
             "sb_invalidations",
             "sb_inval_code_gen",
-            "sb_inval_tlb",
+            "sb_inval_toggle",
             "dtlb_hits",
             "dtlb_misses",
             "dtlb_invalidations",
@@ -286,7 +279,6 @@ mod tests {
             "dtlb_inval_world",
             "uop_promoted",
             "uop_hits",
-            "uop_invalidations",
             "trace_capacity",
             "trace_recorded",
             "trace_dropped",

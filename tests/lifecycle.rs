@@ -317,22 +317,14 @@ fn native_process_isolated_from_enclave() {
             (m.reg(Reg::R(0)) == 0).then(|| m.reg(Reg::R(1)))
         }
     }
-    // `(name, fetch accelerator, superblocks, micro-op traces)`: the
-    // host-side caches must keep the two address spaces apart too, in
-    // every stepping configuration.
-    const TIERS: [(&str, bool, bool, bool); 4] = [
-        ("uop", true, true, true),
-        ("superblock", true, true, false),
-        ("accel-only", true, false, false),
-        ("baseline", false, false, false),
-    ];
+    // `(name, fetch accelerator)`: the host-side caches must keep the two
+    // address spaces apart too, compiled as well as interpreted.
+    const TIERS: [(&str, bool); 2] = [("compiled", true), ("baseline", false)];
     for always_flush_tlb in [true, false] {
         let mut finals = Vec::new();
-        for (tier, accel, superblocks, uops) in TIERS {
+        for (tier, accel) in TIERS {
             let mut p = platform();
             p.machine.set_fetch_accel(accel);
-            p.machine.set_superblocks(superblocks);
-            p.machine.set_uop_traces(uops);
             p.monitor.always_flush_tlb = always_flush_tlb;
             let e = p.load(&progs::secret_keeper()).unwrap();
             p.run(&e, 0, [0, 0xfeed, 0]);
