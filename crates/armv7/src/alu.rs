@@ -213,6 +213,87 @@ pub fn alu(op: DpOp, rn: Word, op2: ShifterResult, psr: Psr) -> AluResult {
     }
 }
 
+/// Flag-setting data processing for the compiled runner: what [`alu`]
+/// returns for [`eval_op2`]'s shifter result, in one function the runner
+/// inlines, so no `AluResult` goes through memory. A plain register
+/// (`LSL #0`) and an immediate are evaluated in line, with the shifter
+/// carry as [`eval_op2`] defines it (`C` passes through unless the
+/// immediate is rotated); any other shifted register goes through
+/// [`shift_value`] out of line, which keeps the runner's loop small.
+/// Arithmetic opcodes then run one add-with-carry and ignore the shifter
+/// carry; logical opcodes take it. [`alu`] and [`eval_op2`] stay for the
+/// per-instruction interpreter; `inline_flag_path_matches_full_alu`
+/// checks that the two agree on every opcode, operand shape, carry-in
+/// and overflow-in.
+#[inline(always)]
+pub(crate) fn alu_flags(
+    op: DpOp,
+    rn: Word,
+    op2: Op2,
+    psr: Psr,
+    read: impl Fn(crate::regs::Reg) -> Word,
+) -> AluResult {
+    let sh = match op2 {
+        Op2::Reg {
+            rm,
+            shift: Shift::Lsl,
+            amount: 0,
+        } => ShifterResult {
+            value: read(rm),
+            carry: psr.c,
+        },
+        Op2::Imm { imm8, rot } => {
+            let value = (imm8 as u32).rotate_right(2 * rot as u32);
+            ShifterResult {
+                value,
+                carry: if rot == 0 {
+                    psr.c
+                } else {
+                    value & 0x8000_0000 != 0
+                },
+            }
+        }
+        Op2::Reg { rm, shift, amount } => shifted(read(rm), shift, amount, psr.c),
+    };
+    let (value, c, v) = if op.is_arith() {
+        let (x, y, cin) = match op {
+            DpOp::Add | DpOp::Cmn => (rn, sh.value, false),
+            DpOp::Adc => (rn, sh.value, psr.c),
+            DpOp::Sub | DpOp::Cmp => (rn, !sh.value, true),
+            DpOp::Sbc => (rn, !sh.value, psr.c),
+            DpOp::Rsb => (sh.value, !rn, true),
+            _ => (sh.value, !rn, psr.c), // Rsc
+        };
+        let wide = x as u64 + y as u64 + cin as u64;
+        let s = wide as Word;
+        (s, wide >> 32 != 0, ((x ^ s) & (y ^ s)) & 0x8000_0000 != 0)
+    } else {
+        let value = match op {
+            DpOp::And | DpOp::Tst => rn & sh.value,
+            DpOp::Eor | DpOp::Teq => rn ^ sh.value,
+            DpOp::Orr => rn | sh.value,
+            DpOp::Bic => rn & !sh.value,
+            DpOp::Mov => sh.value,
+            _ => !sh.value, // Mvn
+        };
+        (value, sh.carry, psr.v)
+    };
+    AluResult {
+        value: if op.is_compare() { None } else { Some(value) },
+        n: value & 0x8000_0000 != 0,
+        z: value == 0,
+        c,
+        v,
+    }
+}
+
+/// [`shift_value`] kept out of line, for the flag path's rarer shifted
+/// register operands.
+#[inline(never)]
+fn shifted(v: Word, shift: Shift, amount: u8, carry_in: bool) -> ShifterResult {
+    shift_value(v, shift, amount, carry_in)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +301,68 @@ mod tests {
 
     fn psr() -> Psr {
         Psr::user()
+    }
+
+    /// Every `Op2` shape the inline flag path distinguishes: unrotated and
+    /// rotated immediates with bit 31 set and clear, `LSL #0`, and each
+    /// shift at amounts 0, 1 and 31, all reading `r1`.
+    fn op2_shapes() -> Vec<Op2> {
+        let mut out = vec![
+            Op2::imm(0),
+            Op2::imm(1),
+            Op2::imm(0xff),
+            Op2::Imm { imm8: 0x3f, rot: 1 }, // 0xc000_000f: bit 31 set.
+            Op2::Imm { imm8: 0x01, rot: 1 }, // 0x4000_0000: bit 31 clear.
+            Op2::Imm { imm8: 0xff, rot: 4 }, // 0xff00_0000.
+            Op2::Imm {
+                imm8: 0x80,
+                rot: 15,
+            }, // 0x0000_0200.
+        ];
+        for shift in [Shift::Lsl, Shift::Lsr, Shift::Asr, Shift::Ror] {
+            for amount in [0u8, 1, 31] {
+                out.push(Op2::Reg {
+                    rm: Reg::R(1),
+                    shift,
+                    amount,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn inline_flag_path_matches_full_alu() {
+        let ops = (0..16).map(DpOp::from_bits);
+        let mut words = vec![0u32, 1, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff];
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        for _ in 0..6 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            words.push((state >> 32) as u32);
+        }
+        let shapes = op2_shapes();
+        for op in ops {
+            for &op2 in &shapes {
+                for &rn in &words {
+                    for &rm in &words {
+                        for (c, v) in [(false, false), (false, true), (true, false), (true, true)] {
+                            let mut p = psr();
+                            p.c = c;
+                            p.v = v;
+                            let read = |r: Reg| if r == Reg::R(1) { rm } else { 0xdead_beef };
+                            let full = alu(op, rn, eval_op2(op2, c, read), p);
+                            let inline = alu_flags(op, rn, op2, p, read);
+                            assert_eq!(
+                                inline, full,
+                                "{op:?} rn={rn:#x} {op2:?} rm={rm:#x} c={c} v={v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,11 +37,13 @@
 //!
 //! # Compiled blocks
 //!
-//! On top of the decode cache sits a **block engine**: straight-line runs
-//! of decoded instructions, formed at a fetch and ending at the first
-//! branch, PC-writing instruction, unhandled exception source, or page
-//! boundary, each compiled into a micro-op trace ([`crate::uop`]) in the
-//! same step that forms it. Single-register loads and stores are
+//! On top of the decode cache sits a **block engine**: runs of decoded
+//! instructions along their fall-through path, formed at a fetch and
+//! ending at the first unconditional `B`, `BL`, PC-writing instruction,
+//! unhandled exception source, or page boundary, each compiled into a
+//! micro-op trace ([`crate::uop`]) in the same step that forms it. A
+//! conditional `B` inside the run is a *side exit*: the trace leaves
+//! there when its condition holds. Single-register loads and stores are
 //! **memory-inclusive**: they ride inside the trace, executed through
 //! per-site translations refilled from the software data-TLB
 //! ([`crate::dtlb::DataTlb`]), with any hazard stopping the trace at an
@@ -51,12 +53,12 @@
 //! its trace then runs with the TLB-hit / memory-read / cycle accounting
 //! batched, so the architecturally visible counters stay bit-for-bit
 //! identical to per-instruction stepping (see `Block` for the admission
-//! rules that make this sound). Blocks chain: each records the block id
-//! its fall-through and taken-branch exits last dispatched to, so
-//! steady-state loops skip even the hash probe. Invalidation rides the
-//! existing generation mechanism — a bumped generation (guest store or
-//! `mon_write` into a watched code page) kills every block along with the
-//! decoded pages they were built from.
+//! rules that make this sound). Blocks chain: each records, per exit, the
+//! block id that exit last dispatched to, so steady-state loops skip
+//! even the hash probe. Invalidation rides the existing generation
+//! mechanism — a bumped generation (guest store or `mon_write` into a
+//! watched code page) kills every block along with the decoded pages they
+//! were built from.
 //!
 //! # Code cache across enclave entries
 //!
@@ -99,7 +101,7 @@ use crate::insn::{Cond, Insn};
 use crate::machine::cost;
 use crate::mem::{AccessAttrs, PhysMem};
 use crate::mode::World;
-use crate::uop::{UopEnd, UopTrace};
+use crate::uop::{branch_target, UopEnd, UopTrace};
 use crate::word::{page_base, page_offset, word_aligned, Addr, Word, WORD_BYTES};
 use komodo_trace::{Event, FlightRecorder, InvalCause};
 
@@ -197,28 +199,40 @@ struct HotFetch {
     attrs: AccessAttrs,
 }
 
-/// Which way the last dispatched block exited — the key under which
-/// its successor link is recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ExitKind {
-    /// Fell through (body end, or branch condition false).
-    Fall = 0,
-    /// Took the ending branch.
-    Taken = 1,
-}
+/// Exit indices: which way a block's pass left it, and so the slot of
+/// [`Block::succ`] its successor link is recorded in. A pass that ran
+/// its whole body leaves by [`EXIT_FALL`] (no ending branch, or its
+/// condition failed) or [`EXIT_TAKEN`]; one that took its `i`th side
+/// exit leaves by `EXIT_SIDE + i`.
+pub(crate) const EXIT_FALL: u8 = 0;
+/// Took the ending branch.
+pub(crate) const EXIT_TAKEN: u8 = 1;
+/// The first side exit's index.
+pub(crate) const EXIT_SIDE: u8 = 2;
 
-/// A block: a straight-line run of decoded instructions, held as its
-/// compiled micro-op trace.
+/// The most side exits one block holds. A conditional `B` past them ends
+/// the block as its ending branch, so a block has at most
+/// [`LINK_SLOTS`] exits.
+const MAX_SIDE_EXITS: usize = 6;
+
+/// Successor-link slots per block: fall-through, ending branch, and one
+/// per side exit.
+pub(crate) const LINK_SLOTS: usize = EXIT_SIDE as usize + MAX_SIDE_EXITS;
+
+/// A block: a run of decoded instructions along its fall-through path,
+/// held as its compiled micro-op trace.
 ///
 /// Admission rules (checked at build time, from the already-validated
 /// decode cache): the body holds instructions that cannot touch the PC —
 /// data-processing, multiply, `MOVW`/`MOVT`, `MRS`, and single-register
 /// loads/stores (decode maps any PC-involving form to [`Insn::Unknown`],
-/// which is never admitted). `LDM`/`STM`, `BX`, `SVC` and every
-/// privileged/undefined instruction terminate the block *before*
-/// themselves; a direct `B`/`BL` terminates it *inclusively* (its target
-/// is static). A block holds at least two instructions, or is a lone
-/// direct branch with an empty body (which linked traces chain through).
+/// which is never admitted) — and up to [`MAX_SIDE_EXITS`] conditional
+/// `B`s, its side exits (static targets). `LDM`/`STM`, `BX`, `SVC` and
+/// every privileged/undefined instruction terminate the block *before*
+/// themselves; an unconditional `B`, any `BL`, and a conditional `B`
+/// past the side-exit bound terminate it *inclusively*. A block holds at
+/// least two instructions or at least one direct branch, so a lone
+/// branch is a block too (which linked traces chain through).
 /// ALU-class body instructions can neither fault nor write memory;
 /// loads/stores *can*, so the runner executes them only through the
 /// data-TLB hit path and otherwise stops the trace at the retired prefix,
@@ -242,18 +256,20 @@ pub(crate) struct Block {
     /// The translation epoch the block was built or last confirmed in. It
     /// runs (by dispatch or by a linked hop) only in that epoch.
     pub(crate) epoch: u64,
-    /// Upper bound on the cycles one execution of the block can charge
-    /// (every condition assumed true, branch assumed taken). Used to hoist
-    /// the interrupt-wake compare out of the block: if
-    /// `cycles + max_charge < wake`, no per-instruction wake check inside
-    /// the block could have fired.
+    /// Upper bound on the cycles one pass of the block can charge: the
+    /// whole fall-through path with every condition assumed true, plus
+    /// one taken branch when the block has any (a pass takes at most
+    /// one). Used to hoist the interrupt-wake compare out of the block:
+    /// if `cycles + max_charge < wake`, no per-instruction wake check
+    /// inside the block could have fired.
     pub(crate) max_charge: u64,
-    /// Chained successors, indexed by [`ExitKind`]: the block id the
-    /// corresponding exit last dispatched to. Purely a probe shortcut —
-    /// the successor is re-validated like any dispatch (by the
-    /// dispatcher, or by the micro-op runner before it hops), so a stale
-    /// link costs a hash probe, never correctness.
-    pub(crate) succ: [Option<u32>; 2],
+    /// Chained successors, indexed by exit index ([`EXIT_FALL`],
+    /// [`EXIT_TAKEN`], `EXIT_SIDE + i`): the block id the corresponding
+    /// exit last dispatched to. Purely a probe shortcut — the successor
+    /// is re-validated like any dispatch (by the dispatcher, or by the
+    /// micro-op runner before it hops), so a stale link costs a hash
+    /// probe, never correctness.
+    pub(crate) succ: [Option<u32>; LINK_SLOTS],
     /// The compiled trace: the block's only executable form, built with
     /// it and living as long as it, across translation epochs. Confirming
     /// the block in a new epoch resets the trace's per-site data
@@ -333,9 +349,9 @@ struct SbCache {
     index: FxHashMap<Addr, u32>,
     /// Snapshot of `PhysMem::code_gen` the blocks were built under.
     gen: u64,
-    /// The last block dispatched and how it exited — the chain source the
-    /// next dispatch links (or follows).
-    last: Option<(u32, ExitKind)>,
+    /// The last block dispatched and the exit index it left by — the
+    /// chain source the next dispatch links (or follows).
+    last: Option<(u32, u8)>,
     stats: SbStats,
 }
 
@@ -578,8 +594,8 @@ impl FetchAccel {
             self.sb.gen = gen_now;
         }
         let prev = self.sb.last.take();
-        if let Some((pid, kind)) = prev {
-            if let Some(id) = self.sb.blocks[pid as usize].succ[kind as usize] {
+        if let Some((pid, exit)) = prev {
+            if let Some(id) = self.sb.blocks[pid as usize].succ[exit as usize] {
                 let b = &self.sb.blocks[id as usize];
                 if b.entry_va == pc && b.world == world && b.ttbr0 == ttbr0 && b.epoch == self.epoch
                 {
@@ -625,10 +641,10 @@ impl FetchAccel {
             }
             None => self.sb_build(pc, world, ttbr0, gen_now, None, trace, cycle)?,
         };
-        if let Some((pid, kind)) = prev {
+        if let Some((pid, exit)) = prev {
             // Remember where the previous block's exit led: next time the
             // same exit is taken, the probe above short-circuits.
-            self.sb.blocks[pid as usize].succ[kind as usize] = Some(id);
+            self.sb.blocks[pid as usize].succ[exit as usize] = Some(id);
         }
         Some(id)
     }
@@ -676,6 +692,7 @@ impl FetchAccel {
         let page = &self.dcache.pages[h.idx];
         let start = (page_offset(pc) / WORD_BYTES) as usize;
         let mut len = 0;
+        let mut side_exits = 0;
         let mut max_charge = 0u64;
         let mut end = UopEnd::Fall;
         for &(_, insn, _) in &page.entries[start..] {
@@ -697,16 +714,21 @@ impl FetchAccel {
                     max_charge += cost::INSN + cost::MEM;
                     len += 1;
                 }
+                // A conditional `B` is a side exit: the scan goes on down
+                // its fall-through path.
+                Insn::B { cond, .. } if cond != Cond::Al && side_exits < MAX_SIDE_EXITS => {
+                    max_charge += cost::INSN;
+                    side_exits += 1;
+                    len += 1;
+                }
                 Insn::B { cond, offset } | Insn::Bl { cond, offset } => {
                     let va = pc.wrapping_add(len as u32 * WORD_BYTES);
                     end = UopEnd::Branch {
                         cond,
-                        target: va
-                            .wrapping_add(8)
-                            .wrapping_add((offset as u32).wrapping_mul(4)),
+                        target: branch_target(va, offset),
                         link: matches!(insn, Insn::Bl { .. }),
                     };
-                    max_charge += cost::INSN + cost::BRANCH_TAKEN;
+                    max_charge += cost::INSN;
                     break;
                 }
                 // Anything that can fault, write memory, or redirect the
@@ -715,7 +737,10 @@ impl FetchAccel {
             }
         }
         let with_branch = matches!(end, UopEnd::Branch { .. });
-        if !with_branch && len < 2 {
+        if side_exits > 0 || with_branch {
+            // A pass takes at most one branch: a taken side exit leaves.
+            max_charge += cost::BRANCH_TAKEN;
+        } else if len < 2 {
             // Too short to beat per-insn dispatch; remember that. A lone
             // direct branch is admitted: linked chains run through it
             // instead of returning to the dispatcher.
@@ -737,8 +762,8 @@ impl FetchAccel {
             attrs: h.attrs,
             epoch: self.epoch,
             max_charge,
-            succ: [None, None],
-            trace: crate::uop::specialise(&page.entries[start..start + len], end),
+            succ: [None; LINK_SLOTS],
+            trace: crate::uop::specialise(pc, &page.entries[start..start + len], end),
         };
         let id = match slot {
             Some(id) => {
@@ -764,10 +789,10 @@ impl FetchAccel {
         &self.sb.blocks
     }
 
-    /// Records how the dispatched block `id` exited after retiring
-    /// `insns` instructions. `None` (a block that did not fit whole, or a
-    /// hazard stop mid-trace) breaks the chain.
-    pub(crate) fn sb_note_exit(&mut self, id: u32, exit: Option<ExitKind>, insns: u64) {
+    /// Records the exit index the dispatched block `id` left by after
+    /// retiring `insns` instructions. `None` (a block that did not fit
+    /// whole, or a hazard stop mid-trace) breaks the chain.
+    pub(crate) fn sb_note_exit(&mut self, id: u32, exit: Option<u8>, insns: u64) {
         self.served += insns;
         self.sb.last = exit.map(|k| (id, k));
     }

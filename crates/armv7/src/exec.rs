@@ -6,9 +6,9 @@
 //! fault-status registers and switch the machine into the appropriate
 //! banked mode before returning an [`ExitReason`] to the privileged caller.
 
-use crate::alu::{alu, alu_value, eval_op2, eval_op2_value, shift_value};
+use crate::alu::{alu, alu_flags, alu_value, eval_op2, eval_op2_value, shift_value};
 use crate::cp15::FaultStatus;
-use crate::dcache::{Block, ExitKind};
+use crate::dcache::{Block, EXIT_FALL, EXIT_TAKEN};
 use crate::decode::decode;
 use crate::dtlb::DataTlb;
 use crate::error::{MemFault, MemFaultKind};
@@ -196,18 +196,20 @@ impl Machine {
     /// - **Fit**: the per-insn loop compares `cycles >= wake` before every
     ///   instruction and stops when the step budget runs out. The trace
     ///   runs only if `cycles + max_charge < wake` and its `steps` fit in
-    ///   `steps_left`; cycles grow monotonically, so every intermediate
-    ///   wake compare would also have been false, and the budget cannot
-    ///   run out inside the trace. A block that does not fit returns
-    ///   [`Dispatch::Tail`]: a trace cannot stop at an arbitrary body
-    ///   entry, because dead-flag elimination leaves `CPSR` exact only at
-    ///   memory ops and at the exit (see [`crate::uop`]).
+    ///   `steps_left`, both worst cases over the whole fall-through path;
+    ///   cycles grow monotonically, so every intermediate wake compare
+    ///   would also have been false, and the budget cannot run out inside
+    ///   the trace, whichever exit it leaves by. A block that does not fit
+    ///   returns [`Dispatch::Tail`]: a trace cannot stop at an arbitrary
+    ///   body entry, because dead-flag elimination leaves `CPSR` exact
+    ///   only at memory ops, side exits and the end (see [`crate::uop`]).
     /// - **Accounting**: each retired instruction pays one TLB hit, one
     ///   instruction read and `cost::INSN` — precisely the per-insn hot
     ///   path's charges (the build-time hot-fetch validation carries the
     ///   proof; see `FetchAccel::sb_build`) — plus `cost::MUL` per
-    ///   *executed* multiply and `cost::BRANCH_TAKEN` for a taken ending
-    ///   branch, accumulated by the runner and added in one batch.
+    ///   *executed* multiply and `cost::BRANCH_TAKEN` for a taken side
+    ///   exit or ending branch, accumulated by the runner and added in
+    ///   one batch.
     /// - **Memory**: an executed load/store pays one *additional* TLB hit
     ///   and `cost::MEM`, and performs the actual `PhysMem` access (which
     ///   bumps the read/write counters itself) — bit-for-bit the per-insn
@@ -225,8 +227,8 @@ impl Machine {
     ///   then stops the trace the same way so no possibly-stale micro-op
     ///   after it executes. A trace stopping at a hazard before retiring
     ///   anything returns [`Dispatch::Step`], so the per-insn step
-    ///   guarantees progress (and refills the data-TLB); a lone-branch
-    ///   block's empty body is no such stop.
+    ///   guarantees progress (and refills the data-TLB); a taken side
+    ///   exit, or a lone-branch block's empty body, is no such stop.
     /// - **Chaining**: `run_uop_trace` may hop into further traces
     ///   confirmed in the current translation epoch; each hop re-checks
     ///   the fit for its trace, so the retired count is what repeated
@@ -745,17 +747,23 @@ struct UopRun {
     hops: u64,
     /// The block whose trace ran last: the next dispatch's chain source.
     last: u32,
-    /// How that trace exited (`None` after a mid-trace stop).
-    exit: Option<ExitKind>,
+    /// The exit index that trace left by (`None` after a mid-trace stop).
+    exit: Option<u8>,
 }
 
 /// Executes the compiled trace of block `id` over a flat copy of the
 /// user-visible registers and a local PSR, committing the exactly
 /// retired prefix.
 ///
+/// A pass runs the body down its fall-through path. A side exit whose
+/// condition holds retires, charges the taken branch and ends the pass
+/// at its target, leaving by its own exit index; otherwise the pass ends
+/// at the trace's end, which leaves by `EXIT_FALL` or, through a taken
+/// ending branch, `EXIT_TAKEN`.
+///
 /// **Linked chaining.** When a pass exits, the runner follows the exiting
-/// block's successor link (`Block::succ[exit]`, recorded by the
-/// dispatcher) straight into the next trace — no commit, no
+/// block's successor link for that exit index (`Block::succ[exit]`,
+/// recorded by the dispatcher) straight into the next trace — no commit, no
 /// re-dispatch, no regfile round-trip — but only while every check the
 /// dispatcher would make for that trace still holds: its entry VA, world
 /// and `TTBR0` match the new PC and the run's context; it was built or
@@ -778,7 +786,9 @@ struct UopRun {
 /// once it has passed these checks, later passes through the same exit
 /// re-check only the two budget guards, because nothing else the checks
 /// read can change inside one call (only the dispatcher writes blocks
-/// and links, and an exit's PC is static per trace).
+/// and links, and an exit's PC is static per trace: a side exit's and a
+/// taken branch's is its target, a fall-through's the address after the
+/// body).
 ///
 /// Mid-trace stops happen only at memory micro-ops (hazard) or right
 /// after a code-generation bump — points where the compiler's flag
@@ -816,6 +826,7 @@ fn run_uop_trace(
     let final_exit = 'chain: loop {
         let mut n_ret = 0u64;
         let mut stopped = false;
+        let mut side = None;
         for e in t.body.iter() {
             if e.cond != Cond::Al && !cond_holds(psr, e.cond) {
                 n_ret += 1;
@@ -842,19 +853,11 @@ fn run_uop_trace(
                     };
                     r[rd as usize] = alu_value(op, r[rn as usize], v2, psr.c);
                 }
-                Uop::AluFlags {
-                    op,
-                    wb,
-                    rd,
-                    rn,
-                    op2,
-                } => {
-                    let sh = eval_op2(op2, psr.c, |reg| r[reg.index() as usize]);
-                    let res = alu(op, r[rn as usize], sh, psr);
-                    if wb {
-                        if let Some(v) = res.value {
-                            r[rd as usize] = v;
-                        }
+                Uop::AluFlags { op, rd, rn, op2 } => {
+                    let res =
+                        alu_flags(op, r[rn as usize], op2, psr, |reg| r[reg.index() as usize]);
+                    if let Some(v) = res.value {
+                        r[rd as usize] = v;
                     }
                     psr.n = res.n;
                     psr.z = res.z;
@@ -933,6 +936,13 @@ fn run_uop_trace(
                         break;
                     }
                 }
+                Uop::SideExit { target, exit } => {
+                    // Its condition held: the branch retires and the pass
+                    // leaves here.
+                    n_ret += 1;
+                    side = Some((target, exit));
+                    break;
+                }
             }
             n_ret += 1;
         }
@@ -955,65 +965,31 @@ fn run_uop_trace(
             pc_cur = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
             break 'chain None;
         }
-        let mut pc_new = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
         total += n_ret;
-        let mut exit = ExitKind::Fall;
-        match t.end {
-            UopEnd::Fall => {}
-            UopEnd::Branch { cond, target, link } => {
-                total += 1;
-                if cond_holds(psr, cond) {
-                    extra += cost::BRANCH_TAKEN;
-                    if link {
-                        r[14] = pc_new.wrapping_add(WORD_BYTES);
+        let exit = if let Some((target, exit)) = side {
+            extra += cost::BRANCH_TAKEN;
+            pc_cur = target;
+            exit
+        } else {
+            pc_cur = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
+            match t.end {
+                UopEnd::Fall => EXIT_FALL,
+                UopEnd::Branch { cond, target, link } => {
+                    total += 1;
+                    if cond_holds(psr, cond) {
+                        extra += cost::BRANCH_TAKEN;
+                        if link {
+                            r[14] = pc_cur.wrapping_add(WORD_BYTES);
+                        }
+                        pc_cur = target;
+                        EXIT_TAKEN
+                    } else {
+                        pc_cur = pc_cur.wrapping_add(WORD_BYTES);
+                        EXIT_FALL
                     }
-                    pc_new = target;
-                    exit = ExitKind::Taken;
-                } else {
-                    pc_new = pc_new.wrapping_add(WORD_BYTES);
                 }
             }
-            UopEnd::FusedBranch {
-                op,
-                wb,
-                rd,
-                rn,
-                op2,
-                cond,
-                target,
-                link,
-            } => {
-                // The folded flag-setting ALU retires first (it was the
-                // block's last body instruction, always unconditional) ...
-                let sh = eval_op2(op2, psr.c, |reg| r[reg.index() as usize]);
-                let res = alu(op, r[rn as usize], sh, psr);
-                if wb {
-                    if let Some(v) = res.value {
-                        r[rd as usize] = v;
-                    }
-                }
-                psr.n = res.n;
-                psr.z = res.z;
-                psr.c = res.c;
-                psr.v = res.v;
-                total += 1;
-                pc_new = pc_new.wrapping_add(WORD_BYTES);
-                // ... then the branch decides on the freshly computed
-                // flags without a second dispatch.
-                total += 1;
-                if cond_holds(psr, cond) {
-                    extra += cost::BRANCH_TAKEN;
-                    if link {
-                        r[14] = pc_new.wrapping_add(WORD_BYTES);
-                    }
-                    pc_new = target;
-                    exit = ExitKind::Taken;
-                } else {
-                    pc_new = pc_new.wrapping_add(WORD_BYTES);
-                }
-            }
-        }
-        pc_cur = pc_new;
+        };
         // Hop along this exit's link while the dispatcher would run the
         // target's trace whole; otherwise commit and return to it. The
         // dispatcher's two guards for a trace of `steps` steps and
@@ -2096,7 +2072,7 @@ mod tests {
     }
 
     /// A hot mixed loop — loads, stores, a dead flag-setter, a live
-    /// compare steering a conditional, and a fused compare+branch exit —
+    /// compare steering a conditional, and a side-exit back-edge —
     /// must serve the bulk of its iterations from its compiled trace and
     /// stay bit-for-bit exact (the two-way helper asserts the equality
     /// half).
@@ -2128,7 +2104,7 @@ mod tests {
             op2: crate::insn::Op2::imm(1),
         });
         a.eor_reg(Reg::R(0), Reg::R(0), Reg::R(1));
-        a.subs_imm(Reg::R(7), Reg::R(7), 1); // Fused with the bne.
+        a.subs_imm(Reg::R(7), Reg::R(7), 1); // Feeds the side exit.
         a.b_to(Cond::Ne, top);
         a.svc(0);
         let (m, exit) = two_way(&a.words(), PagePerms::RX, 20_000, |_| {});
@@ -2276,7 +2252,9 @@ mod tests {
 
     /// A one-block self-loop under step budgets that expire mid-chain:
     /// every budget from 1 to 40, each run resumed until the `SVC`. The
-    /// runner's self-link may only re-enter while a whole pass fits.
+    /// runner's self-link may only re-enter while a whole pass fits, so
+    /// it must have hopped in every run whose budget covers two passes of
+    /// the loop block.
     #[test]
     fn uop_self_loop_under_step_budgets_is_exact() {
         let mut a = Assembler::new(0x8000);
@@ -2294,7 +2272,13 @@ mod tests {
                 assert_eq!(m.cpsr.mode, Mode::Supervisor, "budget {budget}");
             });
             assert_eq!(m.regs.get(Mode::User, Reg::R(0)), 120, "budget {budget}");
-            if budget >= 8 {
+            let pass = m
+                .accel
+                .sb_blocks()
+                .iter()
+                .find(|b| b.entry_va == top.addr())
+                .map_or(u64::MAX, |b| b.trace.steps);
+            if budget >= 2 * pass {
                 let s = m.superblock_stats();
                 assert!(s.uop_linked > 0, "budget {budget}: never chained ({s:?})");
             }
@@ -2306,61 +2290,78 @@ mod tests {
     /// space runs elsewhere, and the dispatcher links P's exit to the
     /// block it found there. When P later exits the same way, that link's
     /// entry VA no longer matches the new PC, so the runner must not hop.
+    /// P leaves by its ending `B` in one input and by a side exit (a
+    /// `BNE` that is always taken, with a `UDF` ending the scan after it)
+    /// in the other: both exits' links are re-validated alike.
     #[test]
     fn uop_link_recorded_across_a_pc_change_is_not_followed() {
-        let mut a = Assembler::new(0x8000);
-        a.mov_imm(Reg::R(7), 20); // Loop counter.
-        let p_entry = a.label();
-        a.add_imm(Reg::R(0), Reg::R(0), 1); // Trace P ...
-        a.add_imm(Reg::R(1), Reg::R(1), 1);
-        let to_q = a.b_fixup(Cond::Al); // ... whose taken exit leads to Q.
-        let q_entry = a.here();
-        a.fix_branch(to_q, q_entry);
-        a.add_imm(Reg::R(2), Reg::R(2), 1); // Trace Q.
-        a.subs_imm(Reg::R(7), Reg::R(7), 1);
-        a.b_to(Cond::Ne, p_entry);
-        a.svc(0);
-        while a.len() < 16 {
-            a.udf(0);
+        for side_exit in [false, true] {
+            let mut a = Assembler::new(0x8000);
+            a.mov_imm(Reg::R(7), 20); // Loop counter.
+            let p_entry = a.label();
+            a.add_imm(Reg::R(0), Reg::R(0), 1); // Trace P ...
+            a.add_imm(Reg::R(1), Reg::R(1), 1);
+            // ... whose exit leads to Q. `Z` is clear at reset and
+            // whenever Q's `BNE` loops back, so the `BNE` is always taken.
+            let to_q = a.b_fixup(if side_exit { Cond::Ne } else { Cond::Al });
+            if side_exit {
+                a.udf(0);
+            }
+            let q_entry = a.here();
+            a.fix_branch(to_q, q_entry);
+            a.add_imm(Reg::R(2), Reg::R(2), 1); // Trace Q.
+            a.subs_imm(Reg::R(7), Reg::R(7), 1);
+            a.b_to(Cond::Ne, p_entry);
+            a.svc(0);
+            while a.len() < 16 {
+                a.udf(0);
+            }
+            let x_entry = a.label(); // Trace X, another thread's self-loop.
+            a.add_imm(Reg::R(3), Reg::R(3), 1);
+            a.add_imm(Reg::R(4), Reg::R(4), 1);
+            a.b_to(Cond::Al, x_entry);
+            let code = a.words();
+            let m = two_way_driven(&code, |m| {
+                // X runs hot first: ten whole passes.
+                m.pc = x_entry.addr();
+                assert_eq!(m.run_user(30).unwrap(), ExitReason::StepLimit);
+                // Five loop iterations, stopping right after P's exit:
+                // 4 + 3 steps for the first (the setup `mov` joins P's
+                // first block), 6 for each later one, then P's 3 again.
+                m.pc = 0x8000;
+                assert_eq!(
+                    m.run_user(4 + 3 + 4 * 6 + 3).unwrap(),
+                    ExitReason::StepLimit
+                );
+                assert_eq!(m.pc, q_entry.addr());
+                // Another thread runs one pass of X: P's exit link now
+                // records X.
+                let resume = m.pc;
+                m.pc = x_entry.addr();
+                assert_eq!(m.run_user(3).unwrap(), ExitReason::StepLimit);
+                // The first thread resumes at Q and runs to its SVC.
+                m.pc = resume;
+                assert_eq!(m.run_user(10_000).unwrap(), ExitReason::Svc { imm24: 0 });
+            });
+            for (r, want) in [(0, 20), (1, 20), (2, 20), (3, 11), (4, 11)] {
+                assert_eq!(m.regs.get(Mode::User, Reg::R(r)), want, "r{r}");
+            }
+            let s = m.superblock_stats();
+            assert!(s.uop_linked > 0, "P and Q never chained: {s:?}");
         }
-        let x_entry = a.label(); // Trace X, another thread's self-loop.
-        a.add_imm(Reg::R(3), Reg::R(3), 1);
-        a.add_imm(Reg::R(4), Reg::R(4), 1);
-        a.b_to(Cond::Al, x_entry);
-        let code = a.words();
-        let m = two_way_driven(&code, |m| {
-            // X runs hot first: ten whole passes.
-            m.pc = x_entry.addr();
-            assert_eq!(m.run_user(30).unwrap(), ExitReason::StepLimit);
-            // Five loop iterations, stopping right after P's taken exit:
-            // 4 + 3 steps for the first (the setup `mov` joins P's first
-            // block), 6 for each later one, then P's 3 again.
-            m.pc = 0x8000;
-            assert_eq!(
-                m.run_user(4 + 3 + 4 * 6 + 3).unwrap(),
-                ExitReason::StepLimit
-            );
-            assert_eq!(m.pc, q_entry.addr());
-            // Another thread runs one pass of X: P's taken link now
-            // records X.
-            let resume = m.pc;
-            m.pc = x_entry.addr();
-            assert_eq!(m.run_user(3).unwrap(), ExitReason::StepLimit);
-            // The first thread resumes at Q and runs to its SVC.
-            m.pc = resume;
-            assert_eq!(m.run_user(10_000).unwrap(), ExitReason::Svc { imm24: 0 });
-        });
-        for (r, want) in [(0, 20), (1, 20), (2, 20), (3, 11), (4, 11)] {
-            assert_eq!(m.regs.get(Mode::User, Reg::R(r)), want, "r{r}");
-        }
-        let s = m.superblock_stats();
-        assert!(s.uop_linked > 0, "P and Q never chained: {s:?}");
     }
 
-    /// Lone conditional branches (the `B<c>` pair of a compare diamond)
-    /// become one-instruction blocks, and the runner chains through
-    /// them: the loop's hops outnumber its iterations, and the compiled
-    /// machine still agrees bit-for-bit with the interpreter.
+    /// A compare diamond (`CMP; BCC out; BHI mid`) inside a loop: both
+    /// conditional branches are side exits of the block entered at the
+    /// loop head, and so is the back-edge, so the scan runs on down the
+    /// fall-through path to the `SVC` and the second branch never starts
+    /// a block of its own. Each iteration leaves the loop-head block by one
+    /// exit and, except on the fall-through path, comes back through one
+    /// short block, so the runner makes fewer than two linked hops per
+    /// iteration. When every conditional branch ended its block, each of
+    /// the three paths took at least two hops and two of them three:
+    /// about 100 over these 40 iterations. The compiled machine still
+    /// agrees bit-for-bit with the interpreter.
     #[test]
     fn lone_branches_are_admitted_and_chained() {
         let mut a = Assembler::new(0x8000);
@@ -2370,8 +2371,8 @@ mod tests {
         a.add_imm(Reg::R(0), Reg::R(0), 3);
         a.and_imm(Reg::R(2), Reg::R(0), 7);
         a.cmp_imm(Reg::R(2), 4);
-        let out = a.b_fixup(Cond::Cc); // Ends trace 1.
-        let mid = a.b_fixup(Cond::Hi); // A lone branch: trace 2.
+        let out = a.b_fixup(Cond::Cc); // Side exit 1.
+        let mid = a.b_fixup(Cond::Hi); // Side exit 2.
         a.add_imm(Reg::R(3), Reg::R(3), 1);
         let here = a.here();
         a.fix_branch(mid, here);
@@ -2379,19 +2380,33 @@ mod tests {
         let here = a.here();
         a.fix_branch(out, here);
         a.subs_imm(Reg::R(1), Reg::R(1), 1);
-        a.b_to(Cond::Ne, top);
+        a.b_to(Cond::Ne, top); // Side exit 3, back to the block's entry.
         a.svc(0);
         let (m, exit) = two_way(&a.words(), PagePerms::RX, 10_000, |_| {});
         assert_eq!(exit, ExitReason::Svc { imm24: 0 });
         let s = m.superblock_stats();
         assert!(s.uop_linked > 40, "the runner must chain the loop: {s:?}");
+        assert!(
+            s.uop_linked < 2 * 40,
+            "fewer than two hops per iteration: {s:?}"
+        );
+        let blocks = m.accel.sb_blocks();
+        let head = blocks
+            .iter()
+            .find(|b| b.entry_va == top.addr())
+            .expect("the loop head formed no block");
+        let side_exits = head
+            .trace
+            .body
+            .iter()
+            .filter(|e| matches!(e.op, Uop::SideExit { .. }))
+            .count();
+        assert_eq!(side_exits, 3, "{:?}", head.trace.body);
+        assert_eq!(head.trace.steps, 9, "the whole fall-through path");
         let lone = 0x8000 + 6 * WORD_BYTES;
         assert!(
-            m.accel
-                .sb_blocks()
-                .iter()
-                .any(|b| b.entry_va == lone && b.trace.body.is_empty() && b.trace.steps == 1),
-            "the lone BHI was not admitted as a block"
+            blocks.iter().all(|b| b.entry_va != lone),
+            "the BHI inside the loop-head block started a block"
         );
     }
 

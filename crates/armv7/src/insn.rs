@@ -264,6 +264,24 @@ impl DpOp {
         matches!(self, DpOp::Tst | DpOp::Teq | DpOp::Cmp | DpOp::Cmn)
     }
 
+    /// Arithmetic opcodes: with flags set they write all of `NZCV` from
+    /// one add-with-carry. Logical opcodes write `N`/`Z` and the shifter
+    /// carry, and pass `V` through.
+    #[inline]
+    pub fn is_arith(self) -> bool {
+        matches!(
+            self,
+            DpOp::Sub
+                | DpOp::Rsb
+                | DpOp::Add
+                | DpOp::Adc
+                | DpOp::Sbc
+                | DpOp::Rsc
+                | DpOp::Cmp
+                | DpOp::Cmn
+        )
+    }
+
     /// `MOV`/`MVN` take no first operand.
     pub fn is_move(self) -> bool {
         matches!(self, DpOp::Mov | DpOp::Mvn)

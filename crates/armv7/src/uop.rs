@@ -1,33 +1,35 @@
 //! Micro-op traces: the compiled form every block runs as.
 //!
-//! `FetchAccel::sb_build` (see [`crate::dcache`]) scans a straight-line
-//! run of decoded instructions and hands it to `specialise`, which
-//! lowers it once, when the block is built, into a small micro-op IR:
+//! `FetchAccel::sb_build` (see [`crate::dcache`]) scans a run of decoded
+//! instructions down its fall-through path and hands it to `specialise`,
+//! which lowers it once, when the block is built, into a small micro-op
+//! IR:
 //!
 //! - **Constant folding**: rotated `Op2` immediates, `MOVW`/`MOVT` pair
 //!   collapsing, base+`#imm12` address offsets (pre-negated for the
-//!   subtract forms), and branch targets (already absolute in the
-//!   scanned end) are folded to raw words. PC-relative forms never
-//!   reach a trace — decode maps them to [`crate::insn::Insn::Unknown`],
-//!   which is never admitted — so the only PC-dependent values in a
-//!   trace are the pre-folded branch target and link address.
+//!   subtract forms), and branch targets are folded to raw words.
+//!   PC-relative forms never reach a trace — decode maps them to
+//!   [`crate::insn::Insn::Unknown`], which is never admitted — so the
+//!   only PC-dependent values in a trace are the pre-folded branch
+//!   targets and link address.
+//! - **Side exits**: a conditional `B` inside the scanned run compiles to
+//!   a `Uop::SideExit`. When its condition holds the pass retires the
+//!   branch, charges the taken branch and leaves the trace through that
+//!   exit's own successor-link slot (`Block::succ`); otherwise it retires
+//!   and the trace goes on down the fall-through path.
 //! - **Dead-flag elimination**: a flag-setting instruction whose NZCV
 //!   write is overwritten before any in-trace consumer (condition
 //!   field, `ADC`/`SBC`/`RSC` carry-in, `MRS`) compiles to its
 //!   flags-free value form; a compare whose flags die compiles to a
-//!   retire-only `Uop::Nop`. Every memory access and the trace exit
-//!   are *observation points*: a hazard can stop the trace right before
-//!   a load/store (and the exit publishes `CPSR` architecturally), so
-//!   liveness is forced to "all flags" across them — the committed
-//!   `CPSR` at every possible stop point is exactly the per-instruction
-//!   machine's. Any other point may hold a `CPSR` that differs from the
-//!   per-instruction one, which is why a trace runs whole or not at all
-//!   and cannot stop at an arbitrary body entry.
-//! - **Compare+branch fusion**: a trace ending `<flag-setting ALU>; B<c>`
-//!   becomes a single `UopEnd::FusedBranch` conditional exit — NZCV is
-//!   computed once, written to `CPSR` (it is architectural at the exit),
-//!   and the branch condition is decided from the same values without a
-//!   second dispatch.
+//!   retire-only `Uop::Nop`. Every memory access, every side exit and
+//!   the trace's end are *observation points*: a hazard can stop the
+//!   trace right before a load/store, and a taken side exit or the end
+//!   publishes `CPSR` architecturally, so liveness is forced to "all
+//!   flags" across them — the committed `CPSR` at every possible stop or
+//!   exit point is exactly the per-instruction machine's. Any other point
+//!   may hold a `CPSR` that differs from the per-instruction one, which
+//!   is why a trace runs whole or not at all and cannot stop at an
+//!   arbitrary body entry.
 //! - **Per-site data-TLB inlining**: each load/store site carries a
 //!   one-entry translation cache (VA page → PA page + precomputed
 //!   access attributes, presence implying the site's read/write verdict
@@ -46,26 +48,30 @@
 //! in [`crate::exec`]) executes a trace over a flat copy of the fifteen
 //! user-visible registers and a local `CPSR`, committing at the end or
 //! at the exact retired prefix on any hazard, with the cycle, TLB-hit and
-//! read accounting batched per call; the differential suites pin it
-//! bit-for-bit against the uncached per-instruction interpreter.
+//! read accounting batched per call. Flag-setting micro-ops compute their
+//! value and NZCV inline (`alu::alu_flags`). The differential suites pin
+//! the runner bit-for-bit against the uncached per-instruction
+//! interpreter.
 //!
 //! **Linked chaining.** When a trace exits, the runner follows the
-//! exiting block's successor link (`Block::succ`, recorded by the
-//! dispatcher) straight into the next trace, keeping the flat registers
-//! and local `CPSR` — but only while every check the dispatcher would
-//! make for that trace holds: same entry VA, world and `TTBR0`,
+//! exiting block's successor link for that exit (`Block::succ`, recorded
+//! by the dispatcher) straight into the next trace, keeping the flat
+//! registers and local `CPSR` — but only while every check the dispatcher
+//! would make for that trace holds: same entry VA, world and `TTBR0`,
 //! confirmed in the current translation epoch, a whole pass within the
 //! step budget (`UopTrace::steps`), and the accumulated charge plus the
 //! target's `max_charge` below the wake deadline. Otherwise it commits
 //! and returns, and the dispatcher re-checks the same conditions. A
-//! self-loop is the link back to the same trace; a lone direct branch is
-//! a trace with an empty body, so branchy loops stay inside the runner.
+//! self-loop is the link back to the same trace, whichever exit it
+//! leaves by; a lone unconditional branch is a trace with an empty body,
+//! so branchy loops stay inside the runner.
 
 use core::cell::Cell;
 
+use crate::dcache::EXIT_SIDE;
 use crate::insn::{Cond, DpOp, Insn, MemOffset, Op2, Shift};
 use crate::mem::AccessAttrs;
-use crate::word::{Addr, Word};
+use crate::word::{Addr, Word, WORDS_PER_PAGE, WORD_BYTES};
 
 /// Flag-liveness bitmask bits.
 const FLAG_N: u8 = 1 << 0;
@@ -86,23 +92,6 @@ fn cond_reads(cond: Cond) -> u8 {
         Cond::Ge | Cond::Lt => FLAG_N | FLAG_V,
         Cond::Gt | Cond::Le => FLAG_N | FLAG_Z | FLAG_V,
     }
-}
-
-/// Whether a data-processing opcode updates `V` when it sets flags
-/// (arithmetic); logical opcodes write `N`/`Z`/`C` only — `V` passes
-/// through, so they do not *kill* an earlier `V` write.
-fn dp_is_arith(op: DpOp) -> bool {
-    matches!(
-        op,
-        DpOp::Sub
-            | DpOp::Rsb
-            | DpOp::Add
-            | DpOp::Adc
-            | DpOp::Sbc
-            | DpOp::Rsc
-            | DpOp::Cmp
-            | DpOp::Cmn
-    )
 }
 
 /// Whether the shifter computes a fresh carry-out for `op2`. An
@@ -127,7 +116,9 @@ fn shifter_sets_carry(op2: Op2) -> bool {
 fn flag_writes(insn: &Insn) -> u8 {
     match *insn {
         Insn::Dp { op, s, op2, .. } if s || op.is_compare() => {
-            if dp_is_arith(op) {
+            // An arithmetic opcode writes `V`; a logical one passes it
+            // through, and so does not kill an earlier `V` write.
+            if op.is_arith() {
                 FLAG_ALL
             } else if shifter_sets_carry(op2) {
                 FLAG_N | FLAG_Z | FLAG_C
@@ -204,15 +195,9 @@ pub(crate) enum Uop {
     /// shape; `ADC`/`SBC`/`RSC` read the live carry).
     Alu { op: DpOp, rd: u8, rn: u8, src: Src },
     /// Exact flag-setting data-processing: live NZCV consumers exist, so
-    /// the full shifter-carry + ALU-flags path runs. `wb` is the
-    /// pre-resolved "writes rd" bit (false for compares).
-    AluFlags {
-        op: DpOp,
-        wb: bool,
-        rd: u8,
-        rn: u8,
-        op2: Op2,
-    },
+    /// the value and all four flags are computed (inline, by
+    /// `alu::alu_flags`). Compares write no register.
+    AluFlags { op: DpOp, rd: u8, rn: u8, op2: Op2 },
     /// `rd = rm * rs`, flags dead or `S` clear.
     MulVal { rd: u8, rm: u8, rs: u8 },
     /// `rd = rm * rs` with live `N`/`Z`.
@@ -237,6 +222,11 @@ pub(crate) enum Uop {
         byte: bool,
         site: u16,
     },
+    /// A conditional `B` inside the body (its entry's condition is never
+    /// `AL`). Taken, it retires, and the pass leaves the trace for
+    /// `target` through exit index `exit` (`EXIT_SIDE` + its ordinal);
+    /// not taken, it retires like any failed condition.
+    SideExit { target: Addr, exit: u8 },
 }
 
 /// One body entry: a micro-op with its pre-extracted condition.
@@ -254,22 +244,10 @@ pub(crate) struct UopEntry {
 pub(crate) enum UopEnd {
     /// Fall through to the instruction after the body.
     Fall,
-    /// The block's ending direct branch, target pre-folded.
+    /// The block's ending direct branch, target pre-folded: an
+    /// unconditional `B`, any `BL`, or a conditional `B` past the
+    /// per-block side-exit bound.
     Branch {
-        cond: Cond,
-        target: Addr,
-        link: bool,
-    },
-    /// Fused flag-setting ALU + conditional branch: the ALU is the
-    /// block's last body instruction; its NZCV is computed once, written
-    /// to `CPSR` (architectural at the exit), and the branch condition
-    /// is decided from the same values. Retires two instructions.
-    FusedBranch {
-        op: DpOp,
-        wb: bool,
-        rd: u8,
-        rn: u8,
-        op2: Op2,
         cond: Cond,
         target: Addr,
         link: bool,
@@ -292,14 +270,14 @@ pub(crate) struct Site {
 /// translation epochs, and dying with it on every invalidation).
 #[derive(Clone, Debug)]
 pub(crate) struct UopTrace {
-    /// The compiled body; one entry per scanned body instruction (minus
-    /// the one folded into a `UopEnd::FusedBranch`).
+    /// The compiled body; one entry per scanned instruction, side exits
+    /// included.
     pub(crate) body: Box<[UopEntry]>,
-    /// The compiled exit.
+    /// The compiled end.
     pub(crate) end: UopEnd,
-    /// Architectural steps one whole pass consumes: the scanned body plus
-    /// its ending branch (fusion moves an instruction into the exit
-    /// without changing the count) — the dispatcher's whole-trace budget
+    /// Architectural steps of the longest pass, the whole fall-through
+    /// path: the scanned body plus its ending branch. A pass that leaves
+    /// by a side exit retires fewer. The dispatcher's whole-trace budget
     /// threshold, re-checked before the runner hops into a trace.
     pub(crate) steps: u64,
     /// Per-site translation slots, indexed by the `site` field of the
@@ -308,26 +286,36 @@ pub(crate) struct UopTrace {
     pub(crate) sites: Box<[Cell<Option<Site>>]>,
 }
 
-/// Per-instruction flag-materialisation needs: `need[i]` is true when
-/// instruction `i`'s flag writes may be observed (by a later condition
-/// field, carry-in consumer, `MRS`, memory-op stop point, or the trace
-/// exit) and must therefore run the exact flag path.
-fn flag_liveness(body: &[(Word, Insn, Cond)]) -> Vec<bool> {
-    let mut need = vec![false; body.len()];
-    // The exit observes everything: the final CPSR is architectural.
+/// Per-instruction flag-materialisation needs, one bit per body entry
+/// (a block never crosses a page, so it holds at most a page of words):
+/// bit `i` is set when instruction `i`'s flag writes may be observed (by
+/// a later condition field, carry-in consumer, `MRS`, memory-op stop
+/// point, side exit, or the trace's end) and must therefore run the exact
+/// flag path.
+type FlagNeeds = [u64; WORDS_PER_PAGE / 64];
+
+fn needs(need: &FlagNeeds, i: usize) -> bool {
+    need[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Computes [`FlagNeeds`] for a scanned body by one backward pass.
+fn flag_liveness(body: &[(Word, Insn, Cond)]) -> FlagNeeds {
+    let mut need = [0u64; WORDS_PER_PAGE / 64];
+    // The end observes everything: the final CPSR is architectural.
     let mut live = FLAG_ALL;
     for (i, &(_, insn, cond)) in body.iter().enumerate().rev() {
-        if matches!(insn, Insn::Ldr { .. } | Insn::Str { .. }) {
-            // A hazard can stop the trace right before this access: the
-            // committed CPSR at that point must already be exact.
+        if matches!(insn, Insn::Ldr { .. } | Insn::Str { .. } | Insn::B { .. }) {
+            // A hazard can stop the trace right before this access, and a
+            // taken side exit leaves with the CPSR as it stands: either
+            // way the committed CPSR at that point must already be exact.
             live = FLAG_ALL;
             continue;
         }
         let w = flag_writes(&insn);
-        if w != 0 {
-            // Conditional flag-setters are maybe-writes: materialise
-            // them unconditionally and kill nothing.
-            need[i] = cond != Cond::Al || (w & live) != 0;
+        // Conditional flag-setters are maybe-writes: materialise them
+        // unconditionally and kill nothing.
+        if w != 0 && (cond != Cond::Al || (w & live) != 0) {
+            need[i / 64] |= 1 << (i % 64);
         }
         let kill = if cond == Cond::Al { w } else { 0 };
         live = (live & !kill) | flag_reads(&insn) | cond_reads(cond);
@@ -357,13 +345,15 @@ fn lower_src(op2: Op2) -> Src {
     }
 }
 
-/// Compiles a scanned block — its straight-line body, a run of the
-/// decoded page's `(word, insn, cond)` entries, and its end,
-/// `UopEnd::Fall` or `UopEnd::Branch` — into a micro-op trace.
-/// Pure function of its inputs: the caller stores the result in the
-/// block and drops it under the block cache's invalidation discipline.
-pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrace {
+/// Compiles a scanned block entered at `entry_va` — its body, a run of
+/// the decoded page's `(word, insn, cond)` entries whose only branches
+/// are conditional `B`s (its side exits), and its end, `UopEnd::Fall` or
+/// `UopEnd::Branch` — into a micro-op trace. Pure function of its
+/// inputs: the caller stores the result in the block and drops it under
+/// the block cache's invalidation discipline.
+pub(crate) fn specialise(entry_va: Addr, scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrace {
     let need = flag_liveness(scanned);
+    let mut exit = EXIT_SIDE;
     let mut body: Vec<UopEntry> = Vec::with_capacity(scanned.len());
     let mut sites = 0u16;
     // Build-time constant tracking for MOVW/MOVT pair folding; an entry
@@ -376,10 +366,9 @@ pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrac
             } => {
                 let rd_i = rd.index();
                 let rn_i = rn.index();
-                if (s || op.is_compare()) && need[i] {
+                if (s || op.is_compare()) && needs(&need, i) {
                     Uop::AluFlags {
                         op,
-                        wb: !op.is_compare(),
                         rd: rd_i,
                         rn: rn_i,
                         op2,
@@ -437,7 +426,7 @@ pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrac
                 }
             }
             Insn::Mul { s, rd, rm, rs, .. } => {
-                if s && need[i] {
+                if s && needs(&need, i) {
                     Uop::MulFlags {
                         rd: rd.index(),
                         rm: rm.index(),
@@ -492,6 +481,15 @@ pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrac
                     }
                 }
             }
+            Insn::B { offset, .. } => {
+                let va = entry_va.wrapping_add(i as u32 * WORD_BYTES);
+                let side = Uop::SideExit {
+                    target: branch_target(va, offset),
+                    exit,
+                };
+                exit += 1;
+                side
+            }
             // The block builder admits nothing else into a body.
             _ => unreachable!("block admitted an unspecialisable instruction"),
         };
@@ -507,41 +505,19 @@ pub(crate) fn specialise(scanned: &[(Word, Insn, Cond)], end: UopEnd) -> UopTrac
         body.push(UopEntry { cond, op: uop });
     }
     let steps = scanned.len() as u64 + matches!(end, UopEnd::Branch { .. }) as u64;
-    // Compare+branch fusion: a trace ending `<unconditional flag-setting
-    // ALU>; B<c>` collapses into a single conditional-exit uop.
-    let mut end = end;
-    if let UopEnd::Branch { cond, target, link } = end {
-        if let Some(&UopEntry {
-            cond: Cond::Al,
-            op:
-                Uop::AluFlags {
-                    op,
-                    wb,
-                    rd,
-                    rn,
-                    op2,
-                },
-        }) = body.last()
-        {
-            body.pop();
-            end = UopEnd::FusedBranch {
-                op,
-                wb,
-                rd,
-                rn,
-                op2,
-                cond,
-                target,
-                link,
-            };
-        }
-    }
     UopTrace {
         body: body.into_boxed_slice(),
         end,
         steps,
         sites: vec![Cell::new(None); sites as usize].into_boxed_slice(),
     }
+}
+
+/// The target of a direct branch at `va` with word offset `offset` (the
+/// PC reads 8 bytes ahead).
+pub(crate) fn branch_target(va: Addr, offset: i32) -> Addr {
+    va.wrapping_add(8)
+        .wrapping_add((offset as u32).wrapping_mul(4))
 }
 
 /// The register a uop writes, if any (used only for build-time constant
@@ -559,8 +535,8 @@ fn uop_dest(u: &Uop) -> Option<u8> {
         | Uop::MulFlags { rd, .. }
         | Uop::ReadCpsr { rd }
         | Uop::Load { rd, .. } => Some(rd),
-        Uop::AluFlags { wb, rd, .. } => wb.then_some(rd),
-        Uop::Nop | Uop::Store { .. } => None,
+        Uop::AluFlags { op, rd, .. } => (!op.is_compare()).then_some(rd),
+        Uop::Nop | Uop::Store { .. } | Uop::SideExit { .. } => None,
     }
 }
 
@@ -590,6 +566,7 @@ mod tests {
         // unconditional cmp with no observer between; the cmp feeds the
         // exit (all-live), so it stays on the exact path.
         let t = specialise(
+            0x8000,
             &[
                 dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Cmp, true, 0, 1, Op2::imm(0)),
@@ -613,6 +590,7 @@ mod tests {
         // First cmp: killed by the second? No — the load between them is
         // an observation point, so the first cmp must materialise.
         let t = specialise(
+            0x8000,
             &[
                 dp(DpOp::Cmp, true, 0, 0, Op2::imm(1)),
                 (
@@ -656,6 +634,7 @@ mod tests {
         // cmp r0,#1 ; cmp r1,#2 — the first compare's flags are fully
         // overwritten by the second before anything observes them.
         let t = specialise(
+            0x8000,
             &[
                 dp(DpOp::Cmp, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Cmp, true, 0, 1, Op2::imm(2)),
@@ -671,6 +650,7 @@ mod tests {
         // adds r0,r0,#1 (writes V) ; tst r1,#1 (writes NZC, V passes
         // through) ; exit observes V — the adds must stay exact.
         let t = specialise(
+            0x8000,
             &[
                 dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
                 dp(DpOp::Tst, true, 0, 1, Op2::imm(1)),
@@ -697,12 +677,14 @@ mod tests {
             },
         );
         let t = specialise(
+            0x8000,
             &[eors, dp(DpOp::Tst, true, 0, 4, Op2::imm(243))],
             UopEnd::Fall,
         );
         assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Eor, .. }));
         // A rotated immediate does produce a carry-out: the eors dies.
         let t = specialise(
+            0x8000,
             &[
                 eors,
                 dp(DpOp::Tst, true, 0, 4, Op2::Imm { imm8: 3, rot: 1 }),
@@ -723,6 +705,7 @@ mod tests {
         }
         addseq.2 = Cond::Eq;
         let t = specialise(
+            0x8000,
             &[dp(DpOp::Add, true, 0, 0, Op2::imm(1)), addseq],
             UopEnd::Fall,
         );
@@ -734,6 +717,7 @@ mod tests {
     #[test]
     fn movw_movt_pair_folds_to_one_constant() {
         let t = specialise(
+            0x8000,
             &[
                 (
                     0,
@@ -765,35 +749,56 @@ mod tests {
         );
     }
 
+    /// `adds r0,r0,#1 ; tst r1,#1 ; bne <back> ; cmp r2,#0` — the side
+    /// exit reads only `Z`, and the `cmp` after it kills every flag, but a
+    /// taken side exit leaves with the local PSR as `CPSR`: it is an
+    /// observation point of all four flags. So the `tst` keeps its flags
+    /// and the `adds` keeps the `C` and `V` the `tst` passes through; the
+    /// side exit gets the first side-exit slot and its folded target.
     #[test]
-    fn compare_branch_fuses_into_the_exit() {
-        let t = specialise(
-            &[
-                dp(DpOp::Add, false, 0, 0, Op2::imm(1)),
-                dp(DpOp::Sub, true, 7, 7, Op2::imm(1)),
-            ],
-            UopEnd::Branch {
+    fn flag_setter_before_a_side_exit_keeps_all_four_flags() {
+        let bne = (
+            0,
+            Insn::B {
                 cond: Cond::Ne,
-                target: 0x8000,
-                link: false,
+                offset: -4,
             },
+            Cond::Ne,
         );
-        assert_eq!(t.body.len(), 1, "subs folded into the exit");
-        assert!(matches!(
-            t.end,
-            UopEnd::FusedBranch {
-                op: DpOp::Sub,
-                wb: true,
+        let t = specialise(
+            0x8000,
+            &[
+                dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
+                dp(DpOp::Tst, true, 0, 1, Op2::imm(1)),
+                bne,
+                dp(DpOp::Cmp, true, 0, 2, Op2::imm(0)),
+            ],
+            UopEnd::Fall,
+        );
+        assert!(
+            matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Add, .. }),
+            "C and V live across the side exit: {:?}",
+            t.body[0].op
+        );
+        assert!(matches!(t.body[1].op, Uop::AluFlags { op: DpOp::Tst, .. }));
+        assert_eq!(
+            t.body[2],
+            UopEntry {
                 cond: Cond::Ne,
-                target: 0x8000,
-                ..
+                op: Uop::SideExit {
+                    target: 0x8008 + 8 - 16,
+                    exit: EXIT_SIDE,
+                },
             }
-        ));
+        );
+        assert!(matches!(t.body[3].op, Uop::AluFlags { op: DpOp::Cmp, .. }));
+        assert_eq!(t.steps, 4, "a side exit is one step of the longest pass");
     }
 
     #[test]
     fn negative_offsets_fold_to_wrapping_addends() {
         let t = specialise(
+            0x8000,
             &[
                 dp(DpOp::Add, false, 0, 0, Op2::imm(1)),
                 (

@@ -181,9 +181,9 @@ mod tests {
     const CODE_VA: u32 = 0x8000;
     const RAM_VA: u32 = 0xa000;
 
-    /// Runs `routine(A, B)` with modulus `m` on the machine and returns
-    /// the `R0:R1` result.
-    fn run(routine_is_exp: bool, a_val: u64, b_val: u64, m_val: u64) -> u64 {
+    /// A machine about to run `routine(A, B)` with modulus `m` and stop at
+    /// an `SVC`, in secure user mode.
+    fn machine(routine_is_exp: bool, a_val: u64, b_val: u64, m_val: u64) -> Machine {
         let mut asm = Assembler::new(CODE_VA);
         let over = asm.b_fixup(Cond::Al);
         let math = emit_math64(&mut asm);
@@ -235,9 +235,21 @@ mod tests {
         m.cp15.scr_ns = false;
         m.cpsr = Psr::user();
         m.pc = main.addr();
+        m
+    }
+
+    /// The `R0:R1` result.
+    fn result(m: &Machine) -> u64 {
+        (m.regs.get(Mode::User, R1) as u64) << 32 | m.regs.get(Mode::User, R0) as u64
+    }
+
+    /// Runs `routine(A, B)` with modulus `m` on the machine and returns
+    /// the `R0:R1` result.
+    fn run(routine_is_exp: bool, a_val: u64, b_val: u64, m_val: u64) -> u64 {
+        let mut m = machine(routine_is_exp, a_val, b_val, m_val);
         let exit = m.run_user(50_000_000).unwrap();
         assert_eq!(exit, ExitReason::Svc { imm24: 0 }, "guest crashed");
-        (m.regs.get(Mode::User, R1) as u64) << 32 | m.regs.get(Mode::User, R0) as u64
+        result(&m)
     }
 
     #[test]
@@ -261,6 +273,52 @@ mod tests {
     fn modexp_matches_host() {
         for (b, e) in [(25u64, 3u64), (25, Q - 1), (2, 61), (P - 1, 2), (7, 0)] {
             assert_eq!(run(true, b, e, P), pow_mod(b, e, P), "b={b} e={e:#x}");
+        }
+    }
+
+    /// `modexp` resumed with `run_user(budget)` until its `SVC`, for every
+    /// budget from 1 to 40 (one `modmul` iteration is about 25 steps), on
+    /// the compiled tier and on the uncached interpreter. The budgets cut
+    /// its compiled traces at every offset: inside blocks, right before
+    /// and after side exits, and between linked hops. Both tiers must
+    /// return the host's result and agree on every register and flag,
+    /// the cycle count, the TLB and memory counters, and the whole
+    /// machine. A base of `M - 2` keeps the accumulator large, so the
+    /// reductions' subtracting paths run too.
+    #[test]
+    fn modexp_under_step_budgets_matches_the_interpreter() {
+        for m_val in [65_521u64, 4_294_967_311, P] {
+            let (b, e) = (m_val - 2, 5);
+            for budget in 1..=40u64 {
+                let run = |accel: bool| {
+                    let mut m = machine(true, b, e, m_val);
+                    m.set_fetch_accel(accel);
+                    while m.run_user(budget).unwrap() == ExitReason::StepLimit {}
+                    assert_eq!(m.cpsr.mode, Mode::Supervisor, "budget {budget}");
+                    m
+                };
+                let (on, off) = (run(true), run(false));
+                let at = format!("M={m_val} budget {budget}");
+                assert_eq!(result(&on), pow_mod(b, e, m_val), "{at}");
+                assert_eq!(on.regs, off.regs, "{at}: registers");
+                assert_eq!(on.cpsr, off.cpsr, "{at}: flags");
+                assert_eq!(on.cycles, off.cycles, "{at}: cycles");
+                assert_eq!(
+                    (on.tlb.hits, on.tlb.misses),
+                    (off.tlb.hits, off.tlb.misses),
+                    "{at}: TLB"
+                );
+                assert_eq!(
+                    (on.mem.reads, on.mem.writes),
+                    (off.mem.reads, off.mem.writes),
+                    "{at}: memory"
+                );
+                assert!(on == off, "{at}: machines differ");
+                if budget == 40 {
+                    let s = on.superblock_stats();
+                    assert!(s.uop_linked > 0, "{at}: never hopped ({s:?})");
+                }
+            }
         }
     }
 
