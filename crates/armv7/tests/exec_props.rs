@@ -699,9 +699,9 @@ fn pick(state: &mut u64, n: u64) -> u64 {
     next(state) % n
 }
 
-/// A work register for generated kernels: `r0`-`r5` (`r7` and `r9`
-/// count loop iterations, `r8` holds the data-page base, `lr` the leaf's
-/// return).
+/// A work register for generated kernels: `r0`-`r5` (`r6` accumulates
+/// the branchy kernels' flag reads, `r7` and `r9` count loop iterations,
+/// `r8` holds the data-page base, `lr` the leaf's return).
 fn work_reg(state: &mut u64) -> Reg {
     Reg::R(pick(state, 6) as u8)
 }
@@ -774,6 +774,17 @@ fn emit_work(a: &mut Assembler, state: &mut u64) {
     }
 }
 
+/// A flag-setter that writes all four flags: `cmp` or `adds`.
+fn emit_full_setter(a: &mut Assembler, state: &mut u64) {
+    let op = [DpOp::Cmp, DpOp::Add][pick(state, 2) as usize];
+    let rd = if op == DpOp::Cmp {
+        Reg::R(0)
+    } else {
+        work_reg(state)
+    };
+    a.dp(op, true, rd, work_reg(state), rand_op2(state));
+}
+
 fn any_branch_cond(state: &mut u64) -> Cond {
     Cond::from_bits(pick(state, 15) as u32).unwrap()
 }
@@ -793,6 +804,10 @@ fn any_branch_cond(state: &mut u64) -> Cond {
 ///           ladder:  <setter> ; 7-9 rungs of [<setter>] ; b<c> Nf ;
 ///                    <alu>{0..1}, each Nf some later rung's end
 ///                    (more side exits than one block holds)
+///           handoff: <cmp|adds> ; <tst|teq> rN, #imm8 ; b<eq|ne|mi|pl> 1f ;
+///                    <cmp|adds> ; <alu>{0..2} ;
+///                    1: <adc r6|add<cs|cc|vs|vc> r6>
+///                    (C and V only the taken side exit observes)
 ///           work:    <alu|mul|ldr|str>{1..4}
 ///           inner:   mov r9, #n ; 1: <alu|mul|ldr|str>{1..3} ;
 ///                    subs r9, r9, #1 ; bne 1b ; <alu>{0..2}
@@ -808,11 +823,11 @@ fn branchy_kernel(seed: u64) -> Vec<u32> {
     a.mov_imm(Reg::R(7), 6 + pick(st, 15) as u32);
     a.mov_imm32(Reg::R(8), DATA_VA);
     let top = a.label();
-    // Every kernel has a skip, a diamond, a call and a ladder; 0-3 extra
-    // segments.
-    let mut segs = vec![0u64, 1, 2, 3];
+    // Every kernel has a skip, a diamond, a call, a ladder and a
+    // handoff; 0-3 extra segments.
+    let mut segs = vec![0u64, 1, 2, 3, 4];
     for _ in 0..pick(st, 4) {
-        segs.push(pick(st, 6));
+        segs.push(pick(st, 7));
     }
     for i in (1..segs.len()).rev() {
         segs.swap(i, pick(st, i as u64 + 1) as usize);
@@ -871,6 +886,44 @@ fn branchy_kernel(seed: u64) -> Vec<u32> {
                 }
             }
             4 => {
+                // The unrotated `tst`/`teq` writes only N and Z, and the
+                // exit reads only one of them, so the first setter's C
+                // and V reach the exit's target, whose first instruction
+                // reads them; the fall-through overwrites all four flags
+                // before anything else observes them. `r6` is written
+                // nowhere else, so a wrong C or V persists to the end.
+                emit_full_setter(&mut a, st);
+                let op = [DpOp::Tst, DpOp::Teq][pick(st, 2) as usize];
+                let imm8 = pick(st, 256) as u8;
+                a.dp(op, true, Reg::R(0), work_reg(st), Op2::Imm { imm8, rot: 0 });
+                let exit =
+                    a.b_fixup([Cond::Eq, Cond::Ne, Cond::Mi, Cond::Pl][pick(st, 4) as usize]);
+                emit_full_setter(&mut a, st);
+                for _ in 0..pick(st, 3) {
+                    emit_alu(&mut a, st);
+                }
+                let here = a.here();
+                a.fix_branch(exit, here);
+                let (op, cond) = [
+                    (DpOp::Adc, Cond::Al),
+                    (DpOp::Add, Cond::Cs),
+                    (DpOp::Add, Cond::Cc),
+                    (DpOp::Add, Cond::Vs),
+                    (DpOp::Add, Cond::Vc),
+                ][pick(st, 5) as usize];
+                a.emit(Insn::Dp {
+                    cond,
+                    op,
+                    s: false,
+                    rd: Reg::R(6),
+                    rn: Reg::R(6),
+                    op2: Op2::Imm {
+                        imm8: 1 + pick(st, 255) as u8,
+                        rot: 0,
+                    },
+                });
+            }
+            5 => {
                 for _ in 0..1 + pick(st, 4) {
                     emit_work(&mut a, st);
                 }
@@ -908,7 +961,8 @@ proptest! {
 
     /// Linked chaining: random branchy kernels (forward conditional
     /// skips, diamonds of consecutive branches, ladders of more side
-    /// exits than one block holds, a `BL` leaf returning by `BX LR`,
+    /// exits than one block holds, a flag-setter whose C and V only a
+    /// taken side exit observes, a `BL` leaf returning by `BX LR`,
     /// inner loops whose back-edge is a side exit to their own block's
     /// entry, a conditional back-edge) run compiled,
     /// under step budgets and chains of IRQ deadlines drawn to land

@@ -1,5 +1,5 @@
-//! Sharded platform fleet: one scheduler for every multi-machine
-//! workload in the workspace.
+//! Platform fleet: one scheduler for every multi-machine workload in
+//! the workspace.
 //!
 //! The Komodo argument for scale-out is that platforms are independent
 //! by construction — the monitor's guarantees hold per machine, so
@@ -7,8 +7,9 @@
 //! the executable form of that argument: a fleet of worker shards, each
 //! owning one simulated [`Platform`](komodo::Platform) (lazily booted,
 //! recycled between jobs via the verified-bit-for-bit fast re-boot),
-//! pulling jobs from a FIFO queue and folding per-shard counters into
-//! one [`FleetMetrics`](komodo_trace::FleetMetrics).
+//! pulling jobs from one mutex-guarded queue of three priority lanes
+//! and folding per-shard counters into one
+//! [`FleetMetrics`](komodo_trace::FleetMetrics).
 //!
 //! Three layers ride on it:
 //!

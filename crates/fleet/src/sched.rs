@@ -1,5 +1,5 @@
-//! The sharded scheduler: worker threads with pooled platforms pulling
-//! jobs from per-worker sharded lanes with work stealing.
+//! The fleet scheduler: worker threads with pooled platforms pulling
+//! jobs from one mutex-guarded queue.
 //!
 //! Ownership story: each worker thread *owns* at most one [`Platform`]
 //! (lazily booted on first use, recycled between jobs), so no platform
@@ -8,54 +8,48 @@
 //! through typed [`JobHandle`]s. Per-shard counter snapshots fold into a
 //! [`FleetMetrics`] when the run finishes.
 //!
-//! Queue topology: instead of one central mutex-guarded queue, every
-//! shard owns a lock of its own holding three class lanes. Submissions
-//! round-robin across shards; a worker drains its *own* lanes first
-//! (highest class first, FIFO within a class), then *steals* from
-//! siblings — scanning classes in priority order and, within a class,
-//! taking the oldest (lowest-index) queued job across all sibling
-//! shards. Class priority (control > interactive > batch) therefore
-//! holds globally even though no single lock serializes the fleet: a
-//! worker never dispatches a batch job while any shard holds queued
-//! control work it could see. [`Fleet::try_submit_batch`] enqueues N
-//! classed jobs under one pass that takes each involved shard lock once,
-//! assigns all indices contiguously in item order, and wakes workers
-//! once — the amortization that makes high-rate ingestion scale.
+//! Queue: one mutex guards three class lanes, the next job index, the
+//! closed flag and a count of waiting workers; one condvar wakes the
+//! waiting workers. A worker pops the highest class with queued work
+//! and, within it, the lowest index, so dispatch order is global by
+//! construction: no worker dispatches a batch job while a control job
+//! is queued. Every submission is a batch ([`Fleet::try_submit_batch`];
+//! [`Fleet::try_submit`] submits a batch of one): it takes the lock
+//! once, assigns contiguous indices in item order, and wakes workers
+//! once.
 //!
 //! Submission is classed ([`Class`]): control-plane jobs are always
 //! dispatched before interactive ones, which precede batch work. The
-//! queue may be bounded ([`FleetConfig::with_queue_capacity`]): a full
+//! queue may be bounded ([`FleetConfig::with_queue_capacity`]): the
+//! bound counts every queued job, control jobs included, and a full
 //! queue *rejects* data-plane submissions with [`SubmitError::Full`]
 //! instead of growing without limit — the backpressure surface the
-//! service node builds on. The bound is enforced by an atomic
-//! reservation (never overshoots, never double-counts). Submitting
-//! after the fleet shut its queue is a hard [`SubmitError::Closed`]
-//! error in every build.
+//! service node builds on. Control jobs are never refused for capacity.
+//! Submitting after the fleet shut its queue is a hard
+//! [`SubmitError::Closed`] error in every build.
 //!
 //! Liveness contract: [`JobHandle::join`] always wakes. A job's result
 //! slot is completed by the job itself (value or caught panic), or — if
 //! the job never runs because its worker died mid-queue or the fleet
 //! tore down around it — by the completion guard that every queued task
 //! carries, which fills the slot with a [`JobPanic`] when the task is
-//! dropped unexecuted. Shutdown is race-free across shards: `close`
-//! publishes the flag and then passes every shard lock, so a worker only
-//! exits after verifying *under all shard locks at once* that no
-//! accepted job remains anywhere.
+//! dropped unexecuted. Shutdown is race-free: `close` sets the flag
+//! under the queue lock, so a submission either completed before it
+//! (its jobs drain) or sees the flag and is refused, and a worker exits
+//! only when it finds the queue closed and empty under that lock.
 //!
 //! Determinism contract: a job's *result* may depend only on its index
 //! and derived seed ([`PlatformConfig::derive_seed`]), never on which
-//! shard runs it or whether it was stolen — the scheduler guarantees the
-//! platform a job sees is bit-for-bit a fresh boot with the job's seed,
-//! whichever worker picks it up and whatever ran there before. Which
-//! *shard* a job lands on is scheduling noise, so the per-shard metric
-//! split varies run to run, but the summed totals are shard-count
-//! independent. Batch submission assigns indices in item order while
-//! holding every involved shard lock, so the request→index mapping is
-//! identical at any shard count.
+//! shard runs it — the scheduler guarantees the platform a job sees is
+//! bit-for-bit a fresh boot with the job's seed, whichever worker picks
+//! it up and whatever ran there before. Which *shard* a job runs on is
+//! scheduling noise, so the per-shard metric split varies run to run,
+//! but the summed totals are shard-count independent. A submission's
+//! indices are assigned in item order under the queue lock, so the
+//! request→index mapping is identical at any shard count.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -170,9 +164,11 @@ pub struct FleetConfig {
     pub platform: PlatformConfig,
     /// Platform recycling policy.
     pub recycle: Recycle,
-    /// Maximum queued (submitted, not yet claimed) data-plane jobs;
-    /// `None` = unbounded. When bounded, [`Fleet::try_submit`] returns
-    /// [`SubmitError::Full`] instead of growing the backlog.
+    /// Bound on the total queued (submitted, not yet claimed) backlog,
+    /// control jobs included; `None` = unbounded. When bounded, a
+    /// data-plane submission that finds no room left is refused
+    /// [`SubmitError::Full`] instead of growing the backlog; control
+    /// jobs are always admitted.
     pub queue_capacity: Option<usize>,
 }
 
@@ -208,8 +204,8 @@ impl FleetConfig {
         self
     }
 
-    /// Returns the config with the queue bounded to `capacity` queued
-    /// data-plane jobs (backpressure; see [`SubmitError::Full`]).
+    /// Returns the config with the queued backlog bounded to `capacity`
+    /// jobs (backpressure; see [`FleetConfig::queue_capacity`]).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
         self
@@ -238,56 +234,38 @@ pub const ABANDONED: &str = "job abandoned: worker or fleet tore down before it 
 /// What a job hands back: its value, or the panic that ended it.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-struct Slot<T> {
-    result: Mutex<Option<JobResult<T>>>,
-    done: Condvar,
-}
-
-/// Shared result storage for one submitted batch: one allocation and one
-/// mutex/condvar pair for N jobs, instead of one `Arc<Slot>` each. Every
-/// joiner waits on the shared condvar and re-checks only its own cell;
-/// completions are single-assignment per cell.
+/// Shared result storage for one submission: one allocation and one
+/// mutex/condvar pair for its N jobs. Every joiner waits on the shared
+/// condvar and re-checks only its own cell; completions are
+/// single-assignment per cell.
 struct SlotBlock<T> {
     results: Mutex<Vec<Option<JobResult<T>>>>,
     done: Condvar,
 }
 
-/// Where one job's result lives: its own slot (single submission) or a
-/// cell in a batch's shared [`SlotBlock`].
-enum SlotRef<T> {
-    Single(Arc<Slot<T>>),
-    Block(Arc<SlotBlock<T>>, usize),
-}
-
-impl<T> SlotRef<T> {
-    fn fill(&self, r: JobResult<T>) {
-        match self {
-            SlotRef::Single(s) => {
-                *lock_unpoisoned(&s.result) = Some(r);
-                s.done.notify_all();
-            }
-            SlotRef::Block(b, at) => {
-                lock_unpoisoned(&b.results)[*at] = Some(r);
-                b.done.notify_all();
-            }
-        }
+impl<T> SlotBlock<T> {
+    fn fill(&self, at: usize, r: JobResult<T>) {
+        lock_unpoisoned(&self.results)[at] = Some(r);
+        self.done.notify_all();
     }
 }
 
-/// Completion guard: fills the job's result slot exactly once. The task
+/// Completion guard: fills the job's result cell exactly once. The task
 /// closure completes it with the job's outcome; if the task is instead
 /// *dropped* unexecuted — its worker thread died between claiming it and
-/// running it, or the fleet tore down with the job still queued — the
-/// guard's `Drop` completes the slot with a [`JobPanic`] so the joiner
-/// always wakes instead of blocking forever on a slot nobody will fill.
+/// running it, the fleet tore down with the job still queued, or the
+/// queue refused it — the guard's `Drop` completes the cell with a
+/// [`JobPanic`] so a joiner always wakes instead of blocking forever on
+/// a cell nobody will fill.
 struct Completion<T> {
-    slot: SlotRef<T>,
+    block: Arc<SlotBlock<T>>,
+    at: usize,
     filled: bool,
 }
 
 impl<T> Completion<T> {
     fn complete(mut self, r: JobResult<T>) {
-        self.slot.fill(r);
+        self.block.fill(self.at, r);
         self.filled = true;
     }
 }
@@ -295,16 +273,20 @@ impl<T> Completion<T> {
 impl<T> Drop for Completion<T> {
     fn drop(&mut self) {
         if !self.filled {
-            self.slot.fill(Err(JobPanic {
-                message: ABANDONED.to_string(),
-            }));
+            self.block.fill(
+                self.at,
+                Err(JobPanic {
+                    message: ABANDONED.to_string(),
+                }),
+            );
         }
     }
 }
 
 /// Typed handle to one submitted job's eventual result.
 pub struct JobHandle<T> {
-    slot: SlotRef<T>,
+    block: Arc<SlotBlock<T>>,
+    at: usize,
     job: u64,
 }
 
@@ -321,385 +303,152 @@ impl<T> JobHandle<T> {
     /// worker died before running it yields `Err` with [`ABANDONED`] —
     /// the completion guard guarantees this join never hangs.
     pub fn join(self) -> JobResult<T> {
-        match self.slot {
-            SlotRef::Single(s) => {
-                let mut r = lock_unpoisoned(&s.result);
-                loop {
-                    if let Some(v) = r.take() {
-                        return v;
-                    }
-                    r = wait_unpoisoned(&s.done, r);
-                }
+        let mut r = lock_unpoisoned(&self.block.results);
+        loop {
+            if let Some(v) = r[self.at].take() {
+                return v;
             }
-            SlotRef::Block(b, at) => {
-                let mut r = lock_unpoisoned(&b.results);
-                loop {
-                    if let Some(v) = r[at].take() {
-                        return v;
-                    }
-                    r = wait_unpoisoned(&b.done, r);
-                }
-            }
+            r = wait_unpoisoned(&self.block.done, r);
         }
     }
 }
 
-/// A queued task: type-erased job closure, paired with its index. The
-/// closure owns a [`Completion`]; dropping it unexecuted resolves the
-/// job as abandoned.
+/// A queued task: type-erased job closure. The closure owns a
+/// [`Completion`]; dropping it unexecuted resolves the job as abandoned.
 type Task<'env> = Box<dyn FnOnce(&mut ShardCtx<'_>) + Send + 'env>;
 
-/// One shard's share of the queue: a FIFO lane per [`Class`], indexed
-/// by `Class::lane()`, guarded by its own mutex.
-struct ShardLanes<'env> {
+/// Everything the queue lock guards.
+struct Lanes<'env> {
+    /// One FIFO lane per [`Class`], indexed by `Class::lane()`, of
+    /// `(index, task)` pairs. Indices are assigned under the lock in
+    /// increasing order and pushed at the back, so each lane is sorted
+    /// by index.
     lanes: [VecDeque<(u64, Task<'env>)>; 3],
-}
-
-impl ShardLanes<'_> {
-    fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
-    }
-}
-
-/// What one steal scan produced.
-enum Steal<'env> {
-    /// Claimed a job from a sibling shard.
-    Got(u64, Task<'env>),
-    /// Saw a candidate but lost the pop race; rescan from the top.
-    Race,
-    /// No sibling shard holds visible work.
-    Empty,
-}
-
-/// The sharded work queue. Accounting lives in atomics; only the lanes
-/// themselves sit behind (per-shard) locks:
-///
-/// - `pending` counts accepted-but-unclaimed jobs and doubles as the
-///   capacity reservation counter: a data-plane submit reserves via CAS
-///   *before* pushing, so a bounded queue never overshoots its bound
-///   even under concurrent submitters.
-/// - `submitted` hands out job indices; it is only advanced while the
-///   target shard lock (or, for batches, every involved shard lock) is
-///   held, so within any one lane indices are strictly increasing —
-///   which is what makes oldest-first stealing well-defined by peeking
-///   lane fronts.
-/// - The sleep protocol (`sleeping` + the `sleep` mutex + `ready`)
-///   never loses a wakeup: a worker advertises itself in `sleeping`
-///   while holding `sleep` and re-checks for work before waiting; a
-///   submitter bumps `pending` first, then (seeing a sleeper) passes
-///   through `sleep` before notifying. In the total order of these
-///   seq-cst operations, either the sleeper sees the new `pending` or
-///   the submitter sees the sleeper — never neither.
-struct Queue<'env> {
-    shards: Vec<Mutex<ShardLanes<'env>>>,
-    /// Accepted, not yet claimed by a worker (includes capacity
-    /// reservations in flight).
-    pending: AtomicUsize,
     /// Jobs accepted so far; the next job index.
-    submitted: AtomicU64,
-    closed: AtomicBool,
-    /// Round-robin cursor for shard placement.
-    rr: AtomicUsize,
-    /// Companion mutex for the sleep protocol; holds no data.
-    sleep: Mutex<()>,
-    ready: Condvar,
-    /// Workers currently inside (or entering) a condvar wait.
-    sleeping: AtomicUsize,
-    capacity: Option<usize>,
+    next: u64,
+    closed: bool,
+    /// Workers blocked on the queue's condvar; a push skips the notify
+    /// when there are none.
+    waiting: usize,
 }
 
-fn empty_lanes<'env>() -> ShardLanes<'env> {
-    ShardLanes {
-        lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+impl Lanes<'_> {
+    fn queued(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
     }
+}
+
+/// The fleet's work queue: one mutex over the [`Lanes`], one condvar
+/// that wakes waiting workers.
+struct Queue<'env> {
+    state: Mutex<Lanes<'env>>,
+    ready: Condvar,
+    /// Bound on queued jobs; `usize::MAX` when unbounded.
+    capacity: usize,
 }
 
 impl<'env> Queue<'env> {
-    fn new(shards: usize, capacity: Option<usize>) -> Self {
+    fn new(capacity: Option<usize>) -> Self {
         Queue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(empty_lanes()))
-                .collect(),
-            pending: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
+            state: Mutex::new(Lanes {
+                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                next: 0,
+                closed: false,
+                waiting: 0,
+            }),
             ready: Condvar::new(),
-            sleeping: AtomicUsize::new(0),
-            capacity,
+            capacity: capacity.unwrap_or(usize::MAX),
         }
     }
 
-    /// Reserves queue occupancy for up to `want` data-plane jobs,
-    /// returning how many fit under the bound (all of them when
-    /// unbounded). The reservation is taken before any push, so
-    /// concurrent submitters can never overshoot a bounded queue; a
-    /// reservation that is later abandoned (close raced the push) must
-    /// be released with `unreserve`.
-    fn reserve_data(&self, want: usize) -> usize {
-        match self.capacity {
-            None => {
-                self.pending.fetch_add(want, SeqCst);
-                want
-            }
-            Some(cap) => {
-                let mut p = self.pending.load(SeqCst);
-                loop {
-                    let take = want.min(cap.saturating_sub(p));
-                    if take == 0 {
-                        return 0;
-                    }
-                    match self.pending.compare_exchange(p, p + take, SeqCst, SeqCst) {
-                        Ok(_) => return take,
-                        Err(cur) => p = cur,
-                    }
-                }
-            }
-        }
-    }
-
-    fn unreserve(&self, n: usize) {
-        if n > 0 {
-            self.pending.fetch_sub(n, SeqCst);
-        }
-    }
-
-    /// Wakes workers for `n` newly queued jobs. The empty pass through
-    /// the `sleep` mutex serializes with sleepers that advertised
-    /// themselves but have not yet entered the wait — see the protocol
-    /// note on [`Queue`].
-    fn wake(&self, n: usize) {
-        if n == 0 || self.sleeping.load(SeqCst) == 0 {
-            return;
-        }
-        drop(lock_unpoisoned(&self.sleep));
-        if n == 1 {
-            self.ready.notify_one();
-        } else {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Enqueues a task, assigning and returning its job index. Refuses
-    /// with a hard error in every build when the queue is closed, and
-    /// with [`SubmitError::Full`] when a bounded queue is at capacity
-    /// (control-class jobs are exempt from the bound). A refused task is
-    /// dropped here, which is harmless: the completion guard inside the
-    /// task resolves the (never-returned) handle as abandoned.
-    fn push(&self, class: Class, task: Task<'env>) -> Result<u64, SubmitError> {
-        if self.closed.load(SeqCst) {
-            return Err(SubmitError::Closed);
-        }
-        let target = self.rr.fetch_add(1, SeqCst) % self.shards.len();
-        let mut s = lock_unpoisoned(&self.shards[target]);
-        // Re-check under the shard lock: `close` passes every shard
-        // lock after setting the flag, so a push that got here before
-        // the close is completed before workers decide to exit, and one
-        // that got here after sees the flag.
-        if self.closed.load(SeqCst) {
-            return Err(SubmitError::Closed);
-        }
-        if class == Class::Control {
-            self.pending.fetch_add(1, SeqCst);
-        } else if self.reserve_data(1) == 0 {
-            let cap = self.capacity.expect("reserve only fails when bounded");
-            return Err(SubmitError::Full { capacity: cap });
-        }
-        let job = self.submitted.fetch_add(1, SeqCst);
-        s.lanes[class.lane()].push_back((job, task));
-        drop(s);
-        self.wake(1);
-        Ok(job)
-    }
-
-    /// Enqueues a batch of classed tasks under one pass: one capacity
-    /// reservation, every involved shard lock taken once (in ascending
-    /// order), indices assigned contiguously in item order, and one
-    /// wake. Per-item outcomes mirror [`Queue::push`]: data-plane items
-    /// beyond the capacity reservation are refused `Full` (the accepted
-    /// ones are the earliest in item order), and a close that raced the
-    /// batch refuses every item `Closed`.
+    /// Enqueues one submission's classed tasks under one lock pass,
+    /// assigning contiguous indices in item order, then wakes workers
+    /// once. Returns each item's index or refusal, in item order:
     ///
-    /// Index assignment is in item order regardless of shard count, so
-    /// a batch's request→index (and therefore request→seed) mapping is
-    /// identical at 1 shard and N shards — the determinism contract the
-    /// service layer relies on.
-    fn push_batch(&self, items: Vec<(Class, Task<'env>)>) -> Vec<Result<u64, SubmitError>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.closed.load(SeqCst) {
-            return items.iter().map(|_| Err(SubmitError::Closed)).collect();
-        }
-        let n = self.shards.len();
-        let data_total = items.iter().filter(|(c, _)| *c != Class::Control).count();
-        let ctrl_total = items.len() - data_total;
-        let data_take = self.reserve_data(data_total);
-        if ctrl_total > 0 {
-            self.pending.fetch_add(ctrl_total, SeqCst);
-        }
-        let accepted = ctrl_total + data_take;
-        if accepted == 0 {
-            let cap = self.capacity.expect("reserve only fails when bounded");
-            return items
-                .iter()
-                .map(|_| Err(SubmitError::Full { capacity: cap }))
-                .collect();
-        }
-        // Ascending-order multi-lock: same order as the worker exit
-        // check and (trivially) `close`, so no deadlock. Holding every
-        // shard lock while assigning the index block keeps per-lane
-        // index order strict even against concurrent single pushes.
-        let mut guards: Vec<_> = self.shards.iter().map(lock_unpoisoned).collect();
-        if self.closed.load(SeqCst) {
-            drop(guards);
-            self.unreserve(accepted);
-            return items.iter().map(|_| Err(SubmitError::Closed)).collect();
-        }
-        let base_shard = self.rr.fetch_add(accepted, SeqCst);
-        let base_idx = self.submitted.fetch_add(accepted as u64, SeqCst);
-        let cap = self.capacity.unwrap_or(usize::MAX);
+    /// - a closed queue refuses every item [`SubmitError::Closed`];
+    /// - the room left is the bound minus every queued job, control jobs
+    ///   included; the earliest data-plane items take it and the rest
+    ///   are refused [`SubmitError::Full`]. Control items are never
+    ///   refused for capacity.
+    ///
+    /// Index assignment is in item order whatever the shard count, so a
+    /// submission's request→index (and therefore request→seed) mapping
+    /// is identical at 1 shard and N shards — the determinism contract
+    /// the service layer relies on.
+    fn push(&self, items: Vec<(Class, Task<'env>)>) -> Vec<Result<u64, SubmitError>> {
         let mut out = Vec::with_capacity(items.len());
-        let mut placed = 0usize;
-        let mut data_used = 0usize;
+        let mut refused = Vec::new();
+        let mut s = lock_unpoisoned(&self.state);
+        let mut room = self.capacity.saturating_sub(s.queued());
         for (class, task) in items {
-            let admit = if class == Class::Control {
-                true
-            } else if data_used < data_take {
-                data_used += 1;
-                true
+            let data = class != Class::Control;
+            if s.closed {
+                out.push(Err(SubmitError::Closed));
+            } else if data && room == 0 {
+                out.push(Err(SubmitError::Full {
+                    capacity: self.capacity,
+                }));
             } else {
-                false
-            };
-            if !admit {
-                out.push(Err(SubmitError::Full { capacity: cap }));
+                room -= usize::from(data);
+                let job = s.next;
+                s.next += 1;
+                s.lanes[class.lane()].push_back((job, task));
+                out.push(Ok(job));
                 continue;
             }
-            let job = base_idx + placed as u64;
-            let shard = (base_shard + placed) % n;
-            guards[shard].lanes[class.lane()].push_back((job, task));
-            placed += 1;
-            out.push(Ok(job));
+            refused.push(task);
         }
-        debug_assert_eq!(placed, accepted);
-        drop(guards);
-        self.wake(placed);
+        // Notify before the unlock: on a 2-vCPU host a woken worker often
+        // takes the submitter's vCPU, and a wake issued under the lock
+        // about halved the `handshake_churn` begin submits that stall
+        // over 100 µs against one issued after it (DESIGN.md, "Fleet
+        // scheduler").
+        if s.waiting > 0 {
+            match out.len() - refused.len() {
+                0 => {}
+                1 => self.ready.notify_one(),
+                _ => self.ready.notify_all(),
+            }
+        }
+        drop(s);
+        // Each refused task's completion guard fills its cell and
+        // notifies its block's joiners: do that outside the queue lock,
+        // where it delays no worker's pop.
+        drop(refused);
         out
     }
 
-    /// One steal scan on behalf of worker `me`: classes in priority
-    /// order; within a class, the oldest (lowest-index) front across
-    /// all sibling shards. Locks are taken one shard at a time, so a
-    /// peeked candidate can be claimed by its owner (or another thief)
-    /// before we pop it — that is reported as [`Steal::Race`] and the
-    /// caller rescans.
-    fn try_steal(&self, me: usize) -> Steal<'env> {
-        for lane in 0..3 {
-            let mut best: Option<(usize, u64)> = None;
-            for (v, shard) in self.shards.iter().enumerate() {
-                if v == me {
-                    continue;
-                }
-                let s = lock_unpoisoned(shard);
-                if let Some(front) = s.lanes[lane].front() {
-                    let idx = front.0;
-                    if best.is_none_or(|(_, b)| idx < b) {
-                        best = Some((v, idx));
-                    }
-                }
-            }
-            if let Some((v, _)) = best {
-                let mut s = lock_unpoisoned(&self.shards[v]);
-                return match s.lanes[lane].pop_front() {
-                    Some((job, task)) => {
-                        self.pending.fetch_sub(1, SeqCst);
-                        Steal::Got(job, task)
-                    }
-                    None => Steal::Race,
-                };
-            }
-        }
-        Steal::Empty
-    }
-
-    /// Claims the next task for worker `me` — own lanes first (highest
-    /// class first, FIFO within a class), then stealing oldest-first
-    /// from siblings — blocking while the queue is open and empty.
-    /// After close, drains the backlog and then returns `None`; the
-    /// all-shard emptiness check under every lock guarantees no
-    /// accepted job is ever abandoned by an early exit. The returned
-    /// flag is true when the job was stolen from a sibling shard.
-    fn pop(&self, me: usize) -> Option<(u64, Task<'env>, bool)> {
+    /// Claims the next task: the highest class with queued work, lowest
+    /// index within it. Blocks while the queue is open and empty; after
+    /// close, drains the backlog and then returns `None`.
+    fn pop(&self) -> Option<(u64, Task<'env>)> {
+        let mut s = lock_unpoisoned(&self.state);
         loop {
-            {
-                let mut s = lock_unpoisoned(&self.shards[me]);
-                if let Some((job, task)) = s.lanes.iter_mut().find_map(VecDeque::pop_front) {
-                    self.pending.fetch_sub(1, SeqCst);
-                    return Some((job, task, false));
-                }
+            if let Some(next) = s.lanes.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(next);
             }
-            if self.shards.len() > 1 && self.pending.load(SeqCst) > 0 {
-                match self.try_steal(me) {
-                    Steal::Got(job, task) => return Some((job, task, true)),
-                    Steal::Race => continue,
-                    Steal::Empty => {}
-                }
+            if s.closed {
+                return None;
             }
-            if self.closed.load(SeqCst) {
-                // Exit decision under every shard lock at once: any
-                // in-flight push either completed (we see its task) or
-                // will observe `closed` under its shard lock and refuse.
-                let guards: Vec<_> = self.shards.iter().map(lock_unpoisoned).collect();
-                if guards.iter().all(|g| g.is_empty()) {
-                    return None;
-                }
-                drop(guards);
-                continue;
-            }
-            if self.pending.load(SeqCst) > 0 {
-                // A submitter holds a reservation it has not pushed yet
-                // (or a racing claim emptied what we saw). Let it run,
-                // then rescan.
-                std::thread::yield_now();
-                continue;
-            }
-            let guard = lock_unpoisoned(&self.sleep);
-            self.sleeping.fetch_add(1, SeqCst);
-            // Re-check before committing to the wait: a submitter that
-            // missed us in `sleeping` must have already bumped
-            // `pending` (or set `closed`) — seq-cst total order
-            // guarantees we see it here.
-            if self.pending.load(SeqCst) == 0 && !self.closed.load(SeqCst) {
-                let guard = wait_unpoisoned(&self.ready, guard);
-                self.sleeping.fetch_sub(1, SeqCst);
-                drop(guard);
-            } else {
-                self.sleeping.fetch_sub(1, SeqCst);
-                drop(guard);
-            }
+            s.waiting += 1;
+            s = wait_unpoisoned(&self.ready, s);
+            s.waiting -= 1;
         }
     }
 
+    /// Refuses every later submission and wakes all waiting workers to
+    /// drain the backlog and exit.
     fn close(&self) {
-        self.closed.store(true, SeqCst);
-        // Pass every shard lock: serializes with in-flight pushes that
-        // read `closed == false` before the store (their push completes
-        // before we pass their shard, and workers cannot conclude
-        // emptiness without these locks either).
-        for shard in &self.shards {
-            drop(lock_unpoisoned(shard));
-        }
-        drop(lock_unpoisoned(&self.sleep));
+        lock_unpoisoned(&self.state).closed = true;
         self.ready.notify_all();
     }
 
     fn submitted(&self) -> u64 {
-        self.submitted.load(SeqCst)
+        lock_unpoisoned(&self.state).next
     }
 
     fn queued_len(&self) -> usize {
-        self.pending.load(SeqCst)
+        lock_unpoisoned(&self.state).queued()
     }
 }
 
@@ -710,8 +459,6 @@ struct ShardState {
     platform: Option<Platform>,
     metrics: MetricsSnapshot,
     jobs: u64,
-    own: u64,
-    stolen: u64,
     boots: u64,
     resets: u64,
 }
@@ -783,11 +530,11 @@ impl ShardCtx<'_> {
 /// Per-shard accounting for one fleet run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
-    /// Jobs this shard executed (`own + stolen`).
+    /// Jobs this shard executed.
     pub jobs: u64,
-    /// Jobs claimed from this worker's own lanes.
-    pub own: u64,
-    /// Jobs stolen from sibling shards' lanes.
+    /// Always 0: every worker pops the fleet's one queue, so no job is
+    /// ever taken from another worker's lanes. Kept for readers that
+    /// still report it (svcbench's `fleet.stolen_share`).
     pub stolen: u64,
     /// Platforms constructed from scratch.
     pub boots: u64,
@@ -811,18 +558,6 @@ pub struct FleetRun<R> {
     pub wall: Duration,
 }
 
-impl<R> FleetRun<R> {
-    /// Jobs dispatched from the claiming worker's own lanes, summed.
-    pub fn own_jobs(&self) -> u64 {
-        self.shards.iter().map(|s| s.own).sum()
-    }
-
-    /// Jobs stolen across shards, summed.
-    pub fn stolen_jobs(&self) -> u64 {
-        self.shards.iter().map(|s| s.stolen).sum()
-    }
-}
-
 /// The submission interface the body closure drives. Submit jobs, keep
 /// the typed handles, join them (inside the body or after [`run`]
 /// returns — all handles are resolved by then either way).
@@ -834,7 +569,8 @@ impl<'env> Fleet<'_, 'env> {
     /// Submits a job in `class`; returns the typed handle to its result,
     /// or the [`SubmitError`] if the queue refused it (closed, or a
     /// bounded queue at capacity). On rejection nothing ran, no job
-    /// index was consumed, and there is no handle to leak.
+    /// index was consumed, and there is no handle to leak. This is
+    /// [`Fleet::try_submit_batch`] with one item.
     ///
     /// The closure runs exactly once on some shard, receives that
     /// shard's [`ShardCtx`], and may return any `Send` value. Panics
@@ -845,41 +581,22 @@ impl<'env> Fleet<'_, 'env> {
         T: Send + 'env,
         F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
     {
-        let slot = Arc::new(Slot {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let completion = Completion {
-            slot: SlotRef::Single(Arc::clone(&slot)),
-            filled: false,
-        };
-        let job = self.queue.push(
-            class,
-            Box::new(move |ctx| {
-                let result = catch_unwind(AssertUnwindSafe(|| f(ctx))).map_err(|p| JobPanic {
-                    message: panic_message(p),
-                });
-                completion.complete(result);
-            }),
-        )?;
-        Ok(JobHandle {
-            slot: SlotRef::Single(slot),
-            job,
-        })
+        self.try_submit_batch(vec![(class, f)])
+            .pop()
+            .expect("one result per submitted job")
     }
 
-    /// Submits a batch of classed jobs in one queue pass: one capacity
-    /// reservation, one traversal of the shard locks, one result-block
-    /// allocation shared by the whole batch, and one worker wake —
-    /// the per-job constant costs of [`Fleet::try_submit`] amortized
-    /// over N jobs. Returns one `Result` per job, in item order;
-    /// accepted jobs get contiguous indices assigned in item order
-    /// (identical at any shard count), rejected ones consumed no index.
+    /// Submits classed jobs in one queue pass: one lock, one result
+    /// block shared by the whole submission, and at most one worker
+    /// wake, so the per-submission constant costs are amortized over N
+    /// jobs. Returns one `Result` per job, in item order; accepted jobs
+    /// get contiguous indices assigned in item order (identical at any
+    /// shard count), rejected ones consumed no index.
     ///
-    /// Admission matches `try_submit` per item: on a bounded queue the
-    /// earliest data-plane items fill the remaining capacity and the
-    /// rest are refused [`SubmitError::Full`]; control items are exempt
-    /// from the bound; a close refuses the whole batch.
+    /// Admission is per item: on a bounded queue the earliest
+    /// data-plane items fill the room left and the rest are refused
+    /// [`SubmitError::Full`]; control items are exempt from the bound;
+    /// a closed queue refuses every item [`SubmitError::Closed`].
     pub fn try_submit_batch<T, F>(
         &self,
         jobs: Vec<(Class, F)>,
@@ -888,9 +605,6 @@ impl<'env> Fleet<'_, 'env> {
         T: Send + 'env,
         F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
     {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
         let block = Arc::new(SlotBlock {
             results: Mutex::new((0..jobs.len()).map(|_| None).collect()),
             done: Condvar::new(),
@@ -900,7 +614,8 @@ impl<'env> Fleet<'_, 'env> {
             .enumerate()
             .map(|(at, (class, f))| {
                 let completion = Completion {
-                    slot: SlotRef::Block(Arc::clone(&block), at),
+                    block: Arc::clone(&block),
+                    at,
                     filled: false,
                 };
                 let task: Task<'env> = Box::new(move |ctx| {
@@ -913,55 +628,23 @@ impl<'env> Fleet<'_, 'env> {
             })
             .collect();
         self.queue
-            .push_batch(tasks)
+            .push(tasks)
             .into_iter()
             .enumerate()
             .map(|(at, r)| {
                 r.map(|job| JobHandle {
-                    slot: SlotRef::Block(Arc::clone(&block), at),
+                    block: Arc::clone(&block),
+                    at,
                     job,
                 })
             })
             .collect()
     }
 
-    /// [`Fleet::try_submit_batch`], panicking on any rejection — for
-    /// harnesses that submit to an unbounded queue while the fleet body
-    /// runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build) if any item is refused.
-    pub fn submit_batch<T, F>(&self, jobs: Vec<(Class, F)>) -> Vec<JobHandle<T>>
-    where
-        T: Send + 'env,
-        F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
-    {
-        self.try_submit_batch(jobs)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("fleet batch submit failed: {e}")))
-            .collect()
-    }
-
-    /// [`Fleet::try_submit`] in `class`, panicking on rejection — for
-    /// callers that configured an unbounded queue and submit only while
-    /// the fleet body runs (both invariants hold for every in-workspace
-    /// harness; the service node uses `try_submit`).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build) if the queue is closed or full.
-    pub fn submit_class<T, F>(&self, class: Class, f: F) -> JobHandle<T>
-    where
-        T: Send + 'env,
-        F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
-    {
-        self.try_submit(class, f)
-            .unwrap_or_else(|e| panic!("fleet submit failed: {e}"))
-    }
-
-    /// [`Fleet::submit_class`] in [`Class::Batch`] — the compatibility
-    /// surface predating priority classes.
+    /// [`Fleet::try_submit`] in [`Class::Batch`], panicking on
+    /// rejection — for callers that configured an unbounded queue and
+    /// submit only while the fleet body runs (both invariants hold for
+    /// every in-workspace harness; the service node uses `try_submit`).
     ///
     /// # Panics
     ///
@@ -971,7 +654,8 @@ impl<'env> Fleet<'_, 'env> {
         T: Send + 'env,
         F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
     {
-        self.submit_class(Class::Batch, f)
+        self.try_submit(Class::Batch, f)
+            .unwrap_or_else(|e| panic!("fleet submit failed: {e}"))
     }
 
     /// Jobs accepted so far.
@@ -994,12 +678,10 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
         platform: None,
         metrics: MetricsSnapshot::default(),
         jobs: 0,
-        own: 0,
-        stolen: 0,
         boots: 0,
         resets: 0,
     };
-    while let Some((job, task, stolen)) = queue.pop(shard) {
+    while let Some((job, task)) = queue.pop() {
         let seed = cfg.platform.derive_seed(job);
         let mut ctx = ShardCtx {
             shard,
@@ -1011,11 +693,6 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
         task(&mut ctx);
         let used = ctx.used;
         state.jobs += 1;
-        if stolen {
-            state.stolen += 1;
-        } else {
-            state.own += 1;
-        }
         if used {
             // The platform was fresh at job start, so its counters are
             // exactly this job's work: fold the full snapshot. Folding
@@ -1043,7 +720,7 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
 /// cleanly, and the panic then resumes.
 pub fn run<'env, R>(cfg: FleetConfig, body: impl FnOnce(&Fleet<'_, 'env>) -> R) -> FleetRun<R> {
     let shards = cfg.shards.max(1);
-    let queue = Queue::new(shards, cfg.queue_capacity);
+    let queue = Queue::new(cfg.queue_capacity);
     let t0 = Instant::now();
     let (value, states) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..shards)
@@ -1071,8 +748,7 @@ pub fn run<'env, R>(cfg: FleetConfig, body: impl FnOnce(&Fleet<'_, 'env>) -> R) 
         .iter()
         .map(|s| ShardStats {
             jobs: s.jobs,
-            own: s.own,
-            stolen: s.stolen,
+            stolen: 0,
             boots: s.boots,
             resets: s.resets,
         })
@@ -1143,14 +819,12 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(r.jobs, 64);
         assert_eq!(r.shards.iter().map(|s| s.jobs).sum::<u64>(), 64);
-        // Every dispatch was either an own-lane claim or a steal.
-        assert_eq!(r.own_jobs() + r.stolen_jobs(), 64);
     }
 
     #[test]
     fn batch_submission_runs_every_job_with_contiguous_indices() {
         let r = run(FleetConfig::default().with_shards(4), |fleet| {
-            let handles = fleet.submit_batch(
+            let handles = fleet.try_submit_batch(
                 (0..32)
                     .map(|_| (Class::Batch, |ctx: &mut ShardCtx<'_>| ctx.job_index() * 3))
                     .collect::<Vec<_>>(),
@@ -1159,6 +833,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
                 .map(|(i, h)| {
+                    let h = h.unwrap();
                     assert_eq!(h.index(), i as u64, "indices are item-ordered");
                     h.join().unwrap()
                 })
@@ -1166,7 +841,6 @@ mod tests {
         });
         assert_eq!(r.value, (0..32).map(|i| i * 3).collect::<Vec<u64>>());
         assert_eq!(r.jobs, 32);
-        assert_eq!(r.own_jobs() + r.stolen_jobs(), 32);
     }
 
     /// White-box: a bounded queue admits the earliest data-plane prefix
@@ -1174,7 +848,7 @@ mod tests {
     /// control items.
     #[test]
     fn batch_on_a_bounded_queue_admits_a_prefix() {
-        let q: Queue<'_> = Queue::new(1, Some(2));
+        let q: Queue<'_> = Queue::new(Some(2));
         let fleet = bare_fleet(&q);
         fn own_index(ctx: &mut ShardCtx<'_>) -> u64 {
             ctx.job_index()
@@ -1207,42 +881,55 @@ mod tests {
         assert_eq!(q.queued_len(), 3);
     }
 
-    /// White-box steal order: an idle worker whose own lanes are empty
-    /// steals classes in priority order and, within a class, the oldest
-    /// job across all sibling shards.
+    /// White-box: the bound counts every queued job, control jobs
+    /// included. With two control jobs queued at a bound of 2, a data
+    /// job is refused, and a third control job is still admitted.
     #[test]
-    fn steals_highest_class_then_oldest_first() {
-        let q: Queue<'_> = Queue::new(3, None);
+    fn queued_control_jobs_count_against_the_bound() {
+        let q: Queue<'_> = Queue::new(Some(2));
         let fleet = bare_fleet(&q);
-        // Round-robin placement is deterministic from rr = 0:
-        // j0→shard0, j1→shard1, j2→shard2, j3→shard0, j4→shard1, j5→shard2.
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 0).unwrap();
-        fleet
-            .try_submit::<u64, _>(Class::Interactive, |_| 1)
-            .unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 2).unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 3).unwrap();
-        fleet.try_submit::<u64, _>(Class::Control, |_| 4).unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 5).unwrap();
-        q.close();
-        let mut order = Vec::new();
-        while let Some((job, _task, stolen)) = q.pop(2) {
-            order.push((job, stolen));
+        fleet.try_submit::<u32, _>(Class::Control, |_| 0).unwrap();
+        fleet.try_submit::<u32, _>(Class::Control, |_| 1).unwrap();
+        for class in [Class::Interactive, Class::Batch] {
+            let refused = fleet.try_submit::<u32, _>(class, |_| 2);
+            assert_eq!(refused.err(), Some(SubmitError::Full { capacity: 2 }));
         }
-        assert_eq!(
-            order,
-            vec![
-                // Own shard (2) drains first: j2 then j5, both batch.
-                (2, false),
-                (5, false),
-                // Then steal: control (j4), interactive (j1), then the
-                // oldest batch across siblings (j0 before j3).
-                (4, true),
-                (1, true),
-                (0, true),
-                (3, true),
-            ]
-        );
+        let ctrl = fleet.try_submit::<u32, _>(Class::Control, |_| 3).unwrap();
+        assert_eq!(ctrl.index(), 2, "refused jobs consumed no index");
+        assert_eq!(q.queued_len(), 3);
+    }
+
+    /// White-box dispatch order: whichever path submitted them, queued
+    /// jobs dispatch highest class first and, within a class, lowest
+    /// index first.
+    #[test]
+    fn dispatches_highest_class_then_lowest_index() {
+        let q: Queue<'_> = Queue::new(None);
+        let fleet = bare_fleet(&q);
+        fn own_index(ctx: &mut ShardCtx<'_>) -> u64 {
+            ctx.job_index()
+        }
+        type Job = fn(&mut ShardCtx<'_>) -> u64;
+        fleet
+            .try_submit::<u64, Job>(Class::Batch, own_index)
+            .unwrap();
+        fleet
+            .try_submit::<u64, Job>(Class::Interactive, own_index)
+            .unwrap();
+        let batch: Vec<(Class, Job)> = vec![
+            (Class::Batch, own_index),
+            (Class::Control, own_index),
+            (Class::Interactive, own_index),
+            (Class::Batch, own_index),
+        ];
+        fleet.try_submit_batch::<u64, _>(batch);
+        fleet
+            .try_submit::<u64, Job>(Class::Control, own_index)
+            .unwrap();
+        q.close();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(job, _task)| job)).collect();
+        // Control 3 and 6, interactive 1 and 4, batch 0, 2 and 5.
+        assert_eq!(order, vec![3, 6, 1, 4, 0, 2, 5]);
     }
 
     #[test]
@@ -1264,7 +951,7 @@ mod tests {
     /// hard [`SubmitError::Closed`] in every build.
     #[test]
     fn submit_after_close_is_a_hard_error() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
         let accepted = fleet.try_submit(Class::Batch, |_| 1u32);
         assert!(accepted.is_ok());
@@ -1303,7 +990,7 @@ mod tests {
     /// empty forever. The completion guard now resolves it as abandoned.
     #[test]
     fn worker_death_mid_queue_wakes_joiners() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
         let claimed = fleet.try_submit(Class::Batch, |_| 1u32).unwrap();
         let queued = fleet.try_submit(Class::Batch, |_| 2u32).unwrap();
@@ -1313,7 +1000,7 @@ mod tests {
             // running it (panic outside any per-job catch_unwind — the
             // task closure is dropped during the unwind).
             let h = s.spawn(|| {
-                let _task = q.pop(0).expect("task queued");
+                let _task = q.pop().expect("task queued");
                 panic!("worker killed mid-queue");
             });
             assert!(h.join().is_err(), "worker must have died");
@@ -1325,29 +1012,25 @@ mod tests {
         assert_eq!(queued.join().unwrap_err().message, ABANDONED);
     }
 
-    /// Regression (poison cascade): a panic while a shard lock was held
+    /// Regression (poison cascade): a panic while the queue lock was held
     /// used to turn every later `lock().unwrap()` into an opaque
     /// `PoisonError` panic on unrelated threads. Locking is now
     /// poison-tolerant.
     #[test]
     fn poisoned_locks_do_not_cascade() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
-        // Poison the shard mutex: panic while holding it.
+        // Poison the queue mutex: panic while holding it.
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = q.shards[0].lock().unwrap();
+            let _guard = q.state.lock().unwrap();
             panic!("poison the queue");
         }));
-        assert!(
-            q.shards[0].is_poisoned(),
-            "setup must have poisoned the lock"
-        );
+        assert!(q.state.is_poisoned(), "setup must have poisoned the lock");
         // Submission and dispatch still work.
         let h = fleet.try_submit(Class::Batch, |_| 11u32).unwrap();
         q.close();
-        let (job, task, stolen) = q.pop(0).expect("task dispatches through poison");
+        let (job, task) = q.pop().expect("task dispatches through poison");
         assert_eq!(job, 0);
-        assert!(!stolen);
         let cfg = FleetConfig::default();
         let mut state = ShardState {
             cfg: cfg.platform.clone(),
@@ -1355,8 +1038,6 @@ mod tests {
             platform: None,
             metrics: MetricsSnapshot::default(),
             jobs: 0,
-            own: 0,
-            stolen: 0,
             boots: 0,
             resets: 0,
         };
@@ -1422,9 +1103,11 @@ mod tests {
                 (Class::Interactive, "i"),
                 (Class::Control, "c"),
             ] {
-                fleet.submit_class(class, move |_| {
-                    lock_unpoisoned(log).push(tag);
-                });
+                fleet
+                    .try_submit(class, move |_| {
+                        lock_unpoisoned(log).push(tag);
+                    })
+                    .unwrap();
             }
             gate_tx.send(()).unwrap();
             blocker.join().unwrap();

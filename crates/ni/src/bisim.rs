@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn confidentiality_holds_across_seeds() {
-        crate::par::run_indexed(6, |i| {
+        komodo_fleet::run_indexed(6, |i| {
             let seed = i as u64;
             let s = scenario(seed);
             let t = twin(&s, seed ^ 0xffff);
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn integrity_frame_holds_across_seeds() {
-        crate::par::run_indexed(6, |i| {
+        komodo_fleet::run_indexed(6, |i| {
             let seed = i as u64;
             let s = scenario(seed);
             let actions = trace(&s, seed.wrapping_add(200), 60, false);

@@ -22,10 +22,6 @@
 //! - [`concrete`]: the same game at the machine level — two booted
 //!   platforms differing only in enclave secrets, compared on everything
 //!   the OS can observe (registers, insecure RAM, results).
-//! - [`par`]: a deterministic parallel episode runner — the randomized
-//!   suites derive every episode from its index, so they fan out as
-//!   jobs on the workspace's fleet scheduler (`komodo-fleet`) with
-//!   identical episode sets and failure reports.
 //! - [`report`]: divergence reports — when a paired comparison fails,
 //!   the flight-recorder tails of both machines are printed side by
 //!   side, pinpointing the first boundary event where the runs split.
@@ -37,7 +33,6 @@ pub mod bisim;
 pub mod concrete;
 pub mod equiv;
 pub mod gen;
-pub mod par;
 pub mod report;
 pub mod seeded;
 

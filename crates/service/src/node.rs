@@ -71,10 +71,11 @@ pub struct ServiceConfig {
     /// platforms alike. The default is sized for the notary (2 MiB
     /// insecure memory, 256 secure pages).
     pub platform: PlatformConfig,
-    /// Bound on queued data-plane requests; `None` = unbounded. When
-    /// bounded, [`ServiceHandle::submit`] returns [`Reject::QueueFull`]
-    /// instead of growing the backlog (control-plane teardown is
-    /// exempt).
+    /// Bound on the total queued backlog, control-plane requests
+    /// included; `None` = unbounded. When bounded, a data-plane
+    /// [`ServiceHandle::submit`] that finds no room left returns
+    /// [`Reject::QueueFull`] instead of growing the backlog;
+    /// control-plane teardown is always admitted.
     pub queue_capacity: Option<usize>,
     /// Flight-recorder capacity armed on each machine a request touches
     /// (0 disables). When armed, request dispatch/completion are
@@ -345,8 +346,8 @@ impl ServiceHandle<'_, '_> {
 
     /// Submits a batch of requests in one queue pass, amortizing the
     /// per-request submit costs (shutdown check, enqueue timestamp,
-    /// result-slot allocation, shard-lock traversal, worker wake) over
-    /// the whole batch. Admission control still applies *per request*:
+    /// result-slot allocation, queue lock, worker wake) over the whole
+    /// batch. Admission control still applies *per request*:
     /// each item independently resolves to a [`Ticket`] or a
     /// [`Reject`], in item order — on a bounded queue the earliest
     /// data-plane items take the remaining capacity and the rest are

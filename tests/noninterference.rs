@@ -28,11 +28,11 @@ fn episodes(name: &str, cases: u32) -> Vec<(u64, u64)> {
 /// Theorem 6.1, confidentiality: for randomized scenarios, secret twins,
 /// and adversary traces (including runs of the victim), all declassified
 /// outputs agree and states remain ≈adv-related. Episodes are generated
-/// sequentially and executed in parallel ([`komodo_ni::par`]).
+/// sequentially and executed in parallel ([`komodo_fleet::run_indexed`]).
 #[test]
 fn prop_confidentiality() {
     let cases = episodes("prop_confidentiality", 24);
-    komodo_ni::par::run_indexed(cases.len(), |i| {
+    komodo_fleet::run_indexed(cases.len(), |i| {
         let (seed, tseed) = cases[i];
         let s = scenario(seed);
         let t = twin(&s, seed ^ 0xdead_beef);
@@ -48,7 +48,7 @@ fn prop_confidentiality() {
 #[test]
 fn prop_integrity() {
     let cases = episodes("prop_integrity", 24);
-    komodo_ni::par::run_indexed(cases.len(), |i| {
+    komodo_fleet::run_indexed(cases.len(), |i| {
         let (seed, tseed) = cases[i];
         let s = scenario(seed);
         let actions = trace(&s, tseed, 40, false);

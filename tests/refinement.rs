@@ -175,7 +175,7 @@ fn structural_calls_refine_spec_many_seeds() {
     // Episodes depend only on their seed, so they fan out across worker
     // threads; the runner re-raises the lowest-seed failure, matching the
     // sequential loop this replaces.
-    komodo_ni::par::run_indexed(12, |i| refine_episode(i as u64, 120));
+    komodo_fleet::run_indexed(12, |i| refine_episode(i as u64, 120));
 }
 
 #[test]
