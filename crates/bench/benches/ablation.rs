@@ -7,11 +7,12 @@
 //! of the same enclave. These are all optimisations that we aim to add,
 //! but only after proving their correctness."
 //!
-//! This bench toggles the two modelled optimisation knobs and reports both
-//! wall time and (via stdout) the simulated-cycle deltas for the full
-//! crossing, quantifying the headroom the authors describe.
+//! This bench toggles the two modelled optimisation knobs and prints the
+//! simulated cycles of a warm crossing under all four settings,
+//! quantifying the headroom the authors describe; every crossing must
+//! exit 0. Its output depends only on the simulation, so two runs print
+//! byte-identical tables.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use komodo::{Platform, PlatformConfig};
 use komodo_guest::progs;
 use komodo_os::EnclaveRun;
@@ -34,8 +35,8 @@ fn crossing_cycles(conservative: bool, flush: bool) -> u64 {
     p.machine.cycles - before
 }
 
-fn bench_ablation(c: &mut Criterion) {
-    println!("\nAblation (simulated cycles, warm repeated crossing):");
+fn main() {
+    println!("Ablation (simulated cycles, warm repeated crossing):");
     for (name, cons, flush) in [
         ("baseline (conservative+flush)", true, true),
         ("no banked save/restore", false, true),
@@ -44,30 +45,4 @@ fn bench_ablation(c: &mut Criterion) {
     ] {
         println!("  {name:<32} {:>6}", crossing_cycles(cons, flush));
     }
-
-    let mut g = c.benchmark_group("ablation_crossing");
-    for (name, cons, flush) in [("baseline", true, true), ("optimised", false, false)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &(cons, flush),
-            |b, &(cons, flush)| {
-                let mut p = Platform::with_config(
-                    PlatformConfig::default()
-                        .with_insecure_size(1 << 20)
-                        .with_npages(64)
-                        .with_seed(3),
-                );
-                p.monitor.conservative_save = cons;
-                p.monitor.always_flush_tlb = flush;
-                let e = p.load(&progs::null_enclave()).unwrap();
-                b.iter(|| {
-                    assert_eq!(p.enter(&e, 0, [0; 3]), EnclaveRun::Exited(0));
-                })
-            },
-        );
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);

@@ -3,45 +3,25 @@
 //! baseline interpreter (see `komodo_armv7::dcache`, `komodo_armv7::uop`
 //! and `komodo_bench::throughput`).
 //!
-//! Run with `cargo bench -p komodo-bench --bench sim_throughput`.
-//! `KOMODO_BENCH_QUICK=1` shortens the Criterion group only; the
-//! summary always measures 50k simulated instructions per workload and
-//! configuration, so its gated ratios mean the same in every mode.
-//!
-//! The summary pass asserts both final machines are architecturally
-//! identical per workload, times the armed flight recorder against the
-//! disabled one, and builds one [`BenchReport`]. The report must pass
-//! every row of [`GATES`] before it is written to
-//! `BENCH_sim_throughput.json` at the repository root; a failed row
-//! panics, so the bench exits non-zero and nothing is written.
+//! Run with `cargo bench -p komodo-bench --bench sim_throughput`. It
+//! measures 50k simulated instructions per workload and configuration,
+//! asserts both final machines are architecturally identical per
+//! workload, times the armed flight recorder against the disabled one,
+//! and builds one [`BenchReport`]. The report must pass every row of
+//! [`GATES`] before it is written to `BENCH_sim_throughput.json` at the
+//! repository root; a failed row panics, so the bench exits non-zero
+//! and nothing is written.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use komodo_bench::report::{BenchReport, GATES};
-use komodo_bench::throughput::{guest, measure_all, trace_overhead, workloads};
+use komodo_bench::throughput::{measure_all, trace_overhead, workloads};
 
-/// Simulated instructions per workload run, in the Criterion group and
-/// the gated summary alike.
+/// Simulated instructions per workload run.
 const STEPS: u64 = 50_000;
 
-fn sim_throughput(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim_throughput");
-    for (name, code) in workloads() {
-        for (label, accel) in [("uop", true), ("base", false)] {
-            g.bench_with_input(BenchmarkId::new(name, label), &code, |b, code| {
-                b.iter(|| {
-                    let mut m = guest(code);
-                    m.set_fetch_accel(accel);
-                    m.run_user(STEPS).unwrap()
-                })
-            });
-        }
-    }
-    g.finish();
-
+fn main() {
     // measure_all asserts compiled == baseline final machines for every
     // workload.
     let results = measure_all(STEPS);
-    println!();
     println!(
         "machine-equality check: {} workloads x 2 configurations verified identical",
         results.len()
@@ -92,6 +72,3 @@ fn sim_throughput(c: &mut Criterion) {
         .unwrap_or_else(|err| panic!("could not write {}: {err}", path.display()));
     println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, sim_throughput);
-criterion_main!(benches);

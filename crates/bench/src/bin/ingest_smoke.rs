@@ -5,9 +5,8 @@
 //! cargo run --release -p komodo-bench --bin ingest_smoke
 //! ```
 //!
-//! One million tiny invoke requests stream through the streaming
-//! (prototype-index) schedule into a 4-shard node with a 4096-deep
-//! bounded queue, from 4 submitter threads in batches of 1024. The
+//! One million tiny invoke requests stream from a prototype-index
+//! schedule into a 4-shard node with a 4096-deep bounded queue, from 4 submitter threads in batches of 1024. The
 //! node sheds most of the load at the door — that is the point: the
 //! checks are exactness under maximum backpressure, not throughput.
 //!
@@ -21,7 +20,7 @@
 //! `INGEST_SMOKE_REQUESTS` overrides the request count (for quick local
 //! iteration); CI runs the full million.
 
-use komodo_service::{drive_indexed, schedule_indexed, Mix, Request, Service, ServiceConfig};
+use komodo_service::{drive, schedule, Mix, Request, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,14 +66,14 @@ fn main() {
          {SUBMITTERS} submitters x batch {BATCH}"
     );
     let t0 = Instant::now();
-    let arrivals = schedule_indexed(INGEST_SEED, requests, 0, &mix).expect("mix has weight");
+    let arrivals = schedule(INGEST_SEED, requests, 0, &mix).expect("mix has weight");
     println!("schedule built in {:?}", t0.elapsed());
 
     let run = Service::run(
         ServiceConfig::default()
             .with_shards(SHARDS)
             .with_queue_capacity(QUEUE),
-        |h| drive_indexed(h, &mix, &arrivals, false, SUBMITTERS, BATCH),
+        |h| drive(h, &mix, &arrivals, false, SUBMITTERS, BATCH),
     );
     let o = &run.value.outcome;
 

@@ -10,8 +10,8 @@
 //! | §8.1 SGX comparison | `cargo run -p komodo-bench --bin sgx_compare` |
 //! | §7.3 evolution claim | `cargo run -p komodo-bench --bin evolution` |
 //!
-//! plus Criterion wall-time benches (`cargo bench -p komodo-bench`) and
-//! the optimisation-ablation bench for the §8.1 discussion.
+//! plus the optimisation-ablation bench for the §8.1 discussion
+//! (`cargo bench -p komodo-bench --bench ablation`).
 //!
 //! Beyond the paper, one harness per question:
 //!

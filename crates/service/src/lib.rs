@@ -21,16 +21,21 @@
 //!   ([`protocol::Attested`]) and the original key-value sessions
 //!   ([`protocol::SecretKeeper`]), with typed
 //!   [`ProtocolError`]s for misuse.
-//! - [`node`]: the node itself — admission (backpressure via the
-//!   fleet's bounded queue, typed [`Reject`]s at the door), shutdown
-//!   semantics (queued work resolves typed, never hangs), session
-//!   table carrying each session's protocol state, per-request
-//!   handlers.
+//! - [`node`]: the node itself — one admission path
+//!   ([`ServiceHandle::submit_batch`]; `submit` is its one-item case)
+//!   with backpressure via the fleet's bounded queue and typed
+//!   [`Reject`]s at the door, shutdown semantics (queued work resolves
+//!   typed, never hangs), one session-open path for every protocol, a
+//!   striped session table carrying each session's protocol state, and
+//!   per-request handlers whose platform work runs inside one trace
+//!   frame.
 //! - [`latency`]: per-request records (queue wait, service time,
 //!   simulated counters) and exact percentiles; the records sum to the
 //!   fleet's folded metrics (the conservation law).
 //! - [`loadgen`]: seeded open-loop arrival schedules over a weighted
-//!   request mix, for replayable load and backpressure experiments.
+//!   request mix and one driver that submits them from K threads in
+//!   batches, for replayable load and backpressure experiments; plus
+//!   the closed-loop attested-session drive.
 //! - [`report`]: the aggregate JSON surface (`requests`, outcome split,
 //!   p50/p99, log2 latency histogram, folded [`MetricsSnapshot`]).
 //!
@@ -48,9 +53,8 @@ pub mod request;
 
 pub use latency::{percentile_ns, Histogram, RequestRecord};
 pub use loadgen::{
-    attested_mix, drive, drive_attested, drive_indexed, schedule, schedule_indexed, Arrival,
-    ArrivalIdx, AttestedClient, AttestedOutcome, AttestedReport, DriveOutcome, DriveReport, Mix,
-    MixError,
+    attested_mix, drive, drive_attested, schedule, Arrival, AttestedClient, AttestedOutcome,
+    DriveOutcome, DriveReport, Mix, MixError,
 };
 pub use node::{Service, ServiceConfig, ServiceHandle, ServiceRun, Ticket};
 pub use protocol::{Protocol, ProtocolError, QuoteWords};

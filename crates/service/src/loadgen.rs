@@ -10,18 +10,15 @@
 //! produce the identical schedule — request kinds, payloads and
 //! offsets — so backpressure experiments are replayable.
 //!
-//! Two schedule representations exist. [`schedule`] materializes a
-//! cloned [`Request`] per arrival — convenient for small runs.
-//! [`schedule_indexed`] streams: each arrival is a prototype *index*
+//! A schedule holds one [`Arrival`] per request: a prototype *index*
 //! into the mix plus an offset (12 bytes), so million-arrival schedules
 //! cost megabytes, not payload copies; the request is instantiated (an
-//! `Arc`-cheap clone of the prototype) only at submit time. Both draw
-//! from the identical random stream, so they describe the same load.
+//! `Arc`-cheap clone of the prototype) only at submit time.
 //!
-//! [`drive`] is the single-threaded per-request driver. For parallel
-//! ingestion, [`drive_indexed`] splits the schedule into deterministic
-//! contiguous partitions owned by K submitter threads, each batching
-//! admission through [`ServiceHandle::submit_batch`].
+//! [`drive`] splits the schedule into deterministic contiguous
+//! partitions owned by K submitter threads, each admitting its
+//! partition in batches through [`ServiceHandle::submit_batch`]; one
+//! submitter with batches of one is the single-submit driver.
 
 use crate::node::{ServiceHandle, Ticket};
 use crate::request::{Reject, Request, Response};
@@ -58,12 +55,12 @@ impl Mix {
         self.total
     }
 
-    /// The prototype at `idx` — the target of [`ArrivalIdx::proto`].
+    /// The prototype at `idx` — the target of [`Arrival::proto`].
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range (an `ArrivalIdx` driven against
-    /// a mix it was not scheduled from).
+    /// Panics if `idx` is out of range (an `Arrival` driven against a
+    /// mix it was not scheduled from).
     pub fn proto(&self, idx: usize) -> &Request {
         &self.entries[idx].1
     }
@@ -105,36 +102,27 @@ impl std::fmt::Display for MixError {
 
 impl std::error::Error for MixError {}
 
-/// One scheduled arrival, request materialized.
-#[derive(Clone, Debug)]
-pub struct Arrival {
-    /// Offset from schedule start, in nanoseconds.
-    pub at_ns: u64,
-    /// The request to submit.
-    pub request: Request,
-}
-
-/// One scheduled arrival in streaming form: the prototype index into
-/// the mix it was scheduled from, instead of a materialized request.
+/// One scheduled arrival: the prototype index into the mix it was
+/// scheduled from, and when to submit it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArrivalIdx {
+pub struct Arrival {
     /// Offset from schedule start, in nanoseconds.
     pub at_ns: u64,
     /// Index of the request prototype in the scheduling [`Mix`].
     pub proto: u32,
 }
 
-/// Builds the deterministic streaming arrival schedule: `n` prototype
-/// indices drawn from `mix`, with exponential inter-arrival gaps of
+/// Builds the deterministic arrival schedule: `n` prototype indices
+/// drawn from `mix`, with exponential inter-arrival gaps of
 /// mean `mean_gap_ns` (0 = a single burst at t=0, the maximum-pressure
 /// profile). An unpickable mix is a typed error, not a truncated
 /// schedule.
-pub fn schedule_indexed(
+pub fn schedule(
     seed: u64,
     n: usize,
     mean_gap_ns: u64,
     mix: &Mix,
-) -> Result<Vec<ArrivalIdx>, MixError> {
+) -> Result<Vec<Arrival>, MixError> {
     if mix.total_weight() == 0 {
         return Err(MixError::ZeroTotalWeight);
     }
@@ -154,26 +142,9 @@ pub fn schedule_indexed(
             let u = ((gap_draw >> 11) + 1) as f64 / (1u64 << 53) as f64;
             at_ns += (-u.ln() * mean_gap_ns as f64) as u64;
         }
-        out.push(ArrivalIdx { at_ns, proto });
+        out.push(Arrival { at_ns, proto });
     }
     Ok(out)
-}
-
-/// [`schedule_indexed`] with each arrival's request materialized — the
-/// identical random stream, so the two forms describe the same load.
-pub fn schedule(
-    seed: u64,
-    n: usize,
-    mean_gap_ns: u64,
-    mix: &Mix,
-) -> Result<Vec<Arrival>, MixError> {
-    Ok(schedule_indexed(seed, n, mean_gap_ns, mix)?
-        .into_iter()
-        .map(|a| Arrival {
-            at_ns: a.at_ns,
-            request: mix.proto(a.proto as usize).clone(),
-        })
-        .collect())
 }
 
 /// What driving a schedule produced. Pure outcome counts — two drives
@@ -205,7 +176,7 @@ impl DriveOutcome {
     }
 }
 
-/// What a parallel drive produced: the summed outcome plus how long
+/// What a drive produced: the summed outcome plus how long
 /// the submit phase took (start of the drive to the last submitter
 /// finishing admission — joining completions is excluded). The
 /// submit-path throughput is `scheduled / submit_wall`.
@@ -215,38 +186,6 @@ pub struct DriveReport {
     pub outcome: DriveOutcome,
     /// Wall-clock duration of the submit phase.
     pub submit_wall: Duration,
-}
-
-/// Submits every arrival open-loop (pacing by `at_ns` when `pace`,
-/// else as one burst), then joins all accepted tickets. Rejected
-/// arrivals are counted, not retried — open-loop load is shed, not
-/// deferred.
-pub fn drive(handle: &ServiceHandle<'_, '_>, arrivals: &[Arrival], pace: bool) -> DriveOutcome {
-    let t0 = Instant::now();
-    let mut outcome = DriveOutcome::default();
-    let mut tickets = Vec::with_capacity(arrivals.len());
-    for a in arrivals {
-        if pace {
-            let at = Duration::from_nanos(a.at_ns);
-            let now = t0.elapsed();
-            if at > now {
-                std::thread::sleep(at - now);
-            } else if now > at {
-                outcome.behind_schedule += 1;
-            }
-        }
-        match handle.submit(a.request.clone()) {
-            Ok(t) => tickets.push(t),
-            Err(Reject::QueueFull { .. }) | Err(Reject::ShuttingDown) => outcome.rejected += 1,
-        }
-    }
-    for t in tickets {
-        match t.wait() {
-            Ok(_) => outcome.ok += 1,
-            Err(_) => outcome.errors += 1,
-        }
-    }
-    outcome
 }
 
 /// Submits queued-up requests as one batch, folding rejections into the
@@ -268,23 +207,24 @@ fn flush(
     }
 }
 
-/// The parallel streaming driver: `submitters` threads own
-/// deterministic contiguous partitions of the arrival schedule, each
-/// instantiating requests from `mix` at submit time and admitting them
-/// in batches of up to `batch` through [`ServiceHandle::submit_batch`]
-/// (`batch <= 1` falls back to per-request [`ServiceHandle::submit`] —
-/// the single-submit baseline). Each thread joins its own accepted
-/// tickets; outcomes are summed.
+/// Submits every arrival open-loop, then joins all accepted tickets.
+/// `submitters` threads own deterministic contiguous partitions of the
+/// arrival schedule, each instantiating requests from `mix` at submit
+/// time and admitting them in batches of up to `batch` (at least one)
+/// through [`ServiceHandle::submit_batch`]. Each thread joins its own
+/// accepted tickets; outcomes are summed. Rejected arrivals are
+/// counted, not retried — open-loop load is shed, not deferred.
 ///
-/// Pacing follows each arrival's offset as in [`drive`]; a thread
-/// flushes its pending batch before sleeping, so admission is never
-/// delayed past the next arrival's deadline by batching. The partition
-/// of arrivals to threads depends only on the schedule length and
-/// `submitters`, never on timing — replays are identical.
-pub fn drive_indexed(
+/// With `pace`, each arrival is submitted at its `at_ns` offset (else
+/// the schedule is one burst); a thread flushes its pending batch
+/// before sleeping, so admission is never delayed past the next
+/// arrival's deadline by batching. The partition of arrivals to
+/// threads depends only on the schedule length and `submitters`, never
+/// on timing — replays are identical.
+pub fn drive(
     handle: &ServiceHandle<'_, '_>,
     mix: &Mix,
-    arrivals: &[ArrivalIdx],
+    arrivals: &[Arrival],
     pace: bool,
     submitters: usize,
     batch: usize,
@@ -296,8 +236,8 @@ pub fn drive_indexed(
     if arrivals.is_empty() {
         return report;
     }
-    let submitters = submitters.max(1);
-    let chunk = arrivals.len().div_ceil(submitters);
+    let batch = batch.max(1);
+    let chunk = arrivals.len().div_ceil(submitters.max(1));
     let t0 = Instant::now();
     let parts = std::thread::scope(|s| {
         let threads: Vec<_> = arrivals
@@ -306,7 +246,7 @@ pub fn drive_indexed(
                 s.spawn(move || {
                     let mut outcome = DriveOutcome::default();
                     let mut tickets = Vec::with_capacity(part.len());
-                    let mut buf = Vec::with_capacity(batch.max(1));
+                    let mut buf = Vec::with_capacity(batch);
                     for a in part {
                         if pace {
                             let at = Duration::from_nanos(a.at_ns);
@@ -318,17 +258,9 @@ pub fn drive_indexed(
                                 outcome.behind_schedule += 1;
                             }
                         }
-                        let req = mix.proto(a.proto as usize).clone();
-                        if batch <= 1 {
-                            match handle.submit(req) {
-                                Ok(t) => tickets.push(t),
-                                Err(_) => outcome.rejected += 1,
-                            }
-                        } else {
-                            buf.push(req);
-                            if buf.len() >= batch {
-                                flush(handle, &mut buf, &mut outcome, &mut tickets);
-                            }
+                        buf.push(mix.proto(a.proto as usize).clone());
+                        if buf.len() >= batch {
+                            flush(handle, &mut buf, &mut outcome, &mut tickets);
                         }
                     }
                     flush(handle, &mut buf, &mut outcome, &mut tickets);
@@ -405,18 +337,6 @@ pub struct AttestedOutcome {
     pub key_digest: u64,
 }
 
-/// An attested drive's outcome plus its latency surface.
-#[derive(Clone, Debug)]
-pub struct AttestedReport {
-    /// The timing-independent outcome.
-    pub outcome: AttestedOutcome,
-    /// Per-established-session handshake latency: begin-batch submit to
-    /// confirmation resolution, in wall nanoseconds.
-    pub handshake_ns: Vec<u64>,
-    /// Wall-clock duration of the whole drive.
-    pub wall: Duration,
-}
-
 /// Derives the deterministic eight-word payload for message `round` of
 /// the session at `pos`.
 fn attested_payload(seed: u64, pos: usize, round: usize) -> [u32; 8] {
@@ -445,8 +365,7 @@ pub fn drive_attested(
     seed: u64,
     sessions: usize,
     messages: usize,
-) -> AttestedReport {
-    let t0 = Instant::now();
+) -> AttestedOutcome {
     let mut outcome = AttestedOutcome {
         sessions: sessions as u64,
         ..AttestedOutcome::default()
@@ -512,7 +431,6 @@ pub fn drive_attested(
         })
         .collect();
     let mut established = Vec::with_capacity(awaiting.len());
-    let mut handshake_ns = Vec::with_capacity(awaiting.len());
     for ((pos, session, est), r) in awaiting.into_iter().zip(handle.submit_batch(confirms)) {
         let t = match r {
             Ok(t) => t,
@@ -523,7 +441,6 @@ pub fn drive_attested(
         };
         match t.wait() {
             Ok(Response::SessionEstablished) => {
-                handshake_ns.push(t0.elapsed().as_nanos() as u64);
                 outcome.established += 1;
                 let mut h = pos as u64 + 1;
                 for w in est.key.0 {
@@ -586,16 +503,12 @@ pub fn drive_attested(
         }
     }
 
-    AttestedReport {
-        outcome,
-        handshake_ns,
-        wall: t0.elapsed(),
-    }
+    outcome
 }
 
 /// A mix of `variants` distinct [`Request::HandshakeBegin`] prototypes
 /// drawn from `seed` — attested-session load for the open-loop
-/// drivers. Each prototype carries its own nonce and a well-formed
+/// driver. Each prototype carries its own nonce and a well-formed
 /// verifier DH share, so every scheduled arrival opens a genuine
 /// pending handshake (resolved with a quote; torn down by TTL expiry
 /// or node teardown if never confirmed). Compose it with
@@ -633,17 +546,14 @@ mod tests {
         let a = schedule(42, 32, 1000, &mix()).unwrap();
         let b = schedule(42, 32, 1000, &mix()).unwrap();
         assert_eq!(a.len(), 32);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.at_ns, y.at_ns);
-            assert_eq!(x.request.kind_code(), y.request.kind_code());
-        }
+        assert_eq!(a, b);
         // A different seed reshuffles (with overwhelming probability
         // over 32 draws).
         let c = schedule(43, 32, 1000, &mix()).unwrap();
         assert!(
             a.iter()
                 .zip(&c)
-                .any(|(x, y)| x.at_ns != y.at_ns || x.request.kind_code() != y.request.kind_code()),
+                .any(|(x, y)| x.at_ns != y.at_ns || x.proto != y.proto),
             "different seeds must diverge"
         );
     }
@@ -661,10 +571,11 @@ mod tests {
 
     #[test]
     fn mix_weights_bias_the_draw() {
-        let s = schedule(1, 400, 0, &mix()).unwrap();
+        let m = mix();
+        let s = schedule(1, 400, 0, &m).unwrap();
         let attests = s
             .iter()
-            .filter(|a| matches!(a.request, Request::Attest { .. }))
+            .filter(|a| matches!(m.proto(a.proto as usize), Request::Attest { .. }))
             .count();
         // 3:1 weighting: expect ~300 of 400; accept a generous band.
         assert!((200..=390).contains(&attests), "attests = {attests}");
@@ -692,23 +603,8 @@ mod tests {
         );
         let zero_weight = Mix::new().with(0, Request::SessionOpen);
         assert_eq!(
-            schedule_indexed(1, 8, 0, &zero_weight).unwrap_err(),
+            schedule(1, 8, 0, &zero_weight).unwrap_err(),
             MixError::ZeroTotalWeight
         );
-    }
-
-    /// The streaming schedule draws the identical stream as the
-    /// materialized one: same offsets, same request kinds, arrival by
-    /// arrival.
-    #[test]
-    fn indexed_schedule_matches_materialized_schedule() {
-        let m = mix();
-        let full = schedule(0xabcd, 64, 500, &m).unwrap();
-        let streamed = schedule_indexed(0xabcd, 64, 500, &m).unwrap();
-        assert_eq!(full.len(), streamed.len());
-        for (x, y) in full.iter().zip(&streamed) {
-            assert_eq!(x.at_ns, y.at_ns);
-            assert_eq!(x.request.kind_code(), m.proto(y.proto as usize).kind_code());
-        }
     }
 }

@@ -9,8 +9,10 @@
 //! - **Typed requests with priority classes**: each request kind maps
 //!   to a fleet [`Class`] lane ([`Request::class`]) and a handler that
 //!   runs it on the dispatching shard.
-//! - **Backpressure and shutdown semantics**: a bounded queue rejects
-//!   data-plane requests with [`Reject::QueueFull`] at the door;
+//! - **Backpressure and shutdown semantics**: every request enters
+//!   through [`ServiceHandle::submit_batch`] ([`ServiceHandle::submit`]
+//!   is its one-item case). A bounded queue rejects data-plane requests
+//!   with [`Reject::QueueFull`] at the door;
 //!   [`ServiceHandle::shutdown`] stops admission
 //!   ([`Reject::ShuttingDown`]) and makes already-queued data-plane
 //!   requests resolve to [`ServiceError::Shutdown`] at dispatch instead
@@ -22,15 +24,19 @@
 //!   simulated-machine counters it accrued. The counters a request
 //!   records are exactly what its job folds into the fleet metrics, so
 //!   the record stream sums to the fleet total — tested as the service
-//!   conservation law. When tracing is armed, request dispatch and
-//!   completion are also stamped into the machine's flight recorder as
-//!   cycle-stamped [`Event::ReqDispatch`]/[`Event::ReqComplete`] spans.
+//!   conservation law. Every handler that runs a platform runs its
+//!   work inside the request's one trace frame, which stamps
+//!   cycle-stamped [`Event::ReqDispatch`]/[`Event::ReqComplete`] spans
+//!   into the machine's flight recorder when tracing is armed.
 //!
-//! Sessions are the one stateful surface: each open session owns a
-//! dedicated [`Platform`] running the secret-keeper enclave, kept in a
-//! striped table shared across shards — stripe `id % 8` owns session
-//! `id`, so operations on different sessions only serialize when they
-//! collide on a stripe (the data plane never touches the table).
+//! Sessions are the one stateful surface. Every protocol opens a
+//! session through one path: boot a dedicated [`Platform`], allocate
+//! the session id, load the protocol's enclave and run its start step
+//! (none for the secret-keeper, the in-enclave handshake for the RA
+//! enclave). Open sessions live in a striped table shared across
+//! shards — stripe `id % 8` owns session `id`, so operations on
+//! different sessions only serialize when they collide on a stripe
+//! (the data plane never touches the table).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,7 +47,7 @@ use komodo::{Enclave, Platform, PlatformConfig};
 use komodo_armv7::{ExitReason, Word};
 use komodo_fleet::{Class, Fleet, FleetConfig, JobHandle, ShardCtx, ShardStats, SubmitError};
 use komodo_guest::notary::notary_image;
-use komodo_guest::user;
+use komodo_guest::{user, Image};
 use komodo_os::EnclaveRun;
 use komodo_spec::seed::splitmix64;
 use komodo_trace::{Event, FleetMetrics, MetricsSnapshot};
@@ -152,9 +158,21 @@ struct Session {
     last: MetricsSnapshot,
 }
 
-/// Lock stripes in the session table. Eight matches the default bench
-/// shard counts; contention only returns when more than eight shards
-/// operate on stripe-colliding session ids simultaneously.
+impl Session {
+    /// The counters the session's platform accrued since the previous
+    /// call (or since open): the current request's share. The snapshot
+    /// becomes the baseline for the next request.
+    fn take_delta(&mut self) -> MetricsSnapshot {
+        let snap = self.platform.machine.metrics_snapshot();
+        let delta = snap.delta_since(&self.last);
+        self.last = snap;
+        delta
+    }
+}
+
+/// Lock stripes in the session table. Any two concurrent operations
+/// whose session ids land on the same stripe serialize, whatever the
+/// shard count: two random ids collide one time in eight.
 const SESSION_STRIPES: u64 = 8;
 
 /// The session table, striped so session operations on different
@@ -188,14 +206,6 @@ impl SessionTable {
         lock_unpoisoned(self.stripe(id)).remove(&id)
     }
 
-    /// Runs `f` over session `id` (or `None` if unknown) with its
-    /// stripe held.
-    #[cfg(test)]
-    fn with<R>(&self, id: u64, f: impl FnOnce(Option<&mut Session>) -> R) -> R {
-        let mut g = lock_unpoisoned(self.stripe(id));
-        f(g.get_mut(&id))
-    }
-
     /// Runs one protocol step over session `id` with its stripe held;
     /// a [`Verdict::Close`] drops the session before the stripe is
     /// released (fail-closed teardown is atomic with the step). Returns
@@ -221,6 +231,7 @@ impl SessionTable {
 struct Shared {
     platform_cfg: PlatformConfig,
     handshake_ttl: u64,
+    trace_capacity: usize,
     shutdown: AtomicBool,
     /// Per-shard latency-record buffers, indexed by the dispatching
     /// shard: a completing request appends only to its own shard's
@@ -259,24 +270,22 @@ impl Ticket {
 pub struct ServiceHandle<'a, 'env> {
     fleet: &'a Fleet<'a, 'env>,
     shared: &'env Shared,
-    trace_capacity: usize,
 }
 
 /// Builds the fleet job for one admitted request: dispatch-time
 /// shutdown re-check, handler dispatch, and the latency record appended
 /// to the dispatching shard's buffer. `enqueued` is when the request
-/// entered the queue — for batches, one timestamp is shared by the
-/// whole batch (the submit pass is one queue entry).
+/// entered the queue — one timestamp shared by the whole batch (the
+/// submit pass is one queue entry).
 fn request_job<'env>(
     shared: &'env Shared,
-    trace_capacity: usize,
     req: Request,
     class: Class,
-    kind: u8,
     enqueued: Instant,
 ) -> impl FnOnce(&mut ShardCtx<'_>) -> Result<Response, ServiceError> + Send + 'env {
     move |ctx| {
         let dispatched = Instant::now();
+        let kind = req.kind_code();
         // Shutdown may have raced admission: a data-plane request
         // already queued when the flag flipped resolves typed
         // instead of running (control-plane teardown still runs —
@@ -284,7 +293,7 @@ fn request_job<'env>(
         let (result, sim) = if class != Class::Control && shared.shutdown.load(Ordering::SeqCst) {
             (Err(ServiceError::Shutdown), MetricsSnapshot::default())
         } else {
-            handle_request(req, ctx, shared, trace_capacity)
+            handle_request(req, ctx, shared)
         };
         lock_unpoisoned(&shared.records[ctx.shard()]).push(RequestRecord {
             req: ctx.job_index(),
@@ -300,48 +309,15 @@ fn request_job<'env>(
 }
 
 impl ServiceHandle<'_, '_> {
-    /// Maps a fleet-level refusal to the service's typed rejection,
-    /// bumping the matching door counter.
-    fn count_reject(&self, e: SubmitError) -> Reject {
-        match e {
-            SubmitError::Full { capacity } => {
-                self.shared.rejected_full.fetch_add(1, Ordering::Relaxed);
-                Reject::QueueFull { capacity }
-            }
-            SubmitError::Closed => {
-                self.shared
-                    .rejected_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                Reject::ShuttingDown
-            }
-        }
-    }
-
-    /// Submits a request; returns its [`Ticket`], or the [`Reject`] if
-    /// the node refused it at the door (queue full, or shutting down).
-    /// A rejected request never entered the queue and produces no
-    /// record.
+    /// Submits a request: the one-item case of
+    /// [`submit_batch`](Self::submit_batch). Returns its [`Ticket`], or
+    /// the [`Reject`] if the node refused it at the door (queue full,
+    /// or shutting down). A rejected request never entered the queue
+    /// and produces no record.
     pub fn submit(&self, req: Request) -> Result<Ticket, Reject> {
-        let class = req.class();
-        if class != Class::Control && self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared
-                .rejected_shutdown
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(Reject::ShuttingDown);
-        }
-        let kind = req.kind_code();
-        let job = request_job(
-            self.shared,
-            self.trace_capacity,
-            req,
-            class,
-            kind,
-            Instant::now(),
-        );
-        match self.fleet.try_submit(class, job) {
-            Ok(handle) => Ok(Ticket { handle }),
-            Err(e) => Err(self.count_reject(e)),
-        }
+        self.submit_batch(vec![req])
+            .pop()
+            .expect("one result per submitted request")
     }
 
     /// Submits a batch of requests in one queue pass, amortizing the
@@ -359,35 +335,37 @@ impl ServiceHandle<'_, '_> {
     pub fn submit_batch(&self, reqs: Vec<Request>) -> Vec<Result<Ticket, Reject>> {
         let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
         let enqueued = Instant::now();
-        let mut out: Vec<Option<Result<Ticket, Reject>>> = Vec::with_capacity(reqs.len());
+        let mut out = Vec::with_capacity(reqs.len());
         let mut jobs = Vec::with_capacity(reqs.len());
         let mut slots = Vec::with_capacity(reqs.len());
         for (at, req) in reqs.into_iter().enumerate() {
             let class = req.class();
+            out.push(Err(Reject::ShuttingDown));
             if class != Class::Control && shutting_down {
                 self.shared
                     .rejected_shutdown
                     .fetch_add(1, Ordering::Relaxed);
-                out.push(Some(Err(Reject::ShuttingDown)));
                 continue;
             }
-            let kind = req.kind_code();
-            jobs.push((
-                class,
-                request_job(self.shared, self.trace_capacity, req, class, kind, enqueued),
-            ));
+            jobs.push((class, request_job(self.shared, req, class, enqueued)));
             slots.push(at);
-            out.push(None);
         }
         for (slot, r) in slots.into_iter().zip(self.fleet.try_submit_batch(jobs)) {
-            out[slot] = Some(match r {
+            out[slot] = match r {
                 Ok(handle) => Ok(Ticket { handle }),
-                Err(e) => Err(self.count_reject(e)),
-            });
+                Err(SubmitError::Full { capacity }) => {
+                    self.shared.rejected_full.fetch_add(1, Ordering::Relaxed);
+                    Err(Reject::QueueFull { capacity })
+                }
+                Err(SubmitError::Closed) => {
+                    self.shared
+                        .rejected_shutdown
+                        .fetch_add(1, Ordering::Relaxed);
+                    Err(Reject::ShuttingDown)
+                }
+            };
         }
-        out.into_iter()
-            .map(|o| o.expect("every batch slot resolves"))
-            .collect()
+        out
     }
 
     /// Begins shutdown: new data-plane submissions are rejected with
@@ -396,11 +374,6 @@ impl ServiceHandle<'_, '_> {
     /// Control-plane teardown still runs. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests currently queued (accepted, not yet dispatched). A
@@ -466,6 +439,7 @@ impl Service {
         let shared = Shared {
             platform_cfg: cfg.platform.clone(),
             handshake_ttl: cfg.handshake_ttl,
+            trace_capacity: cfg.trace_capacity,
             shutdown: AtomicBool::new(false),
             records: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             sessions: SessionTable::new(),
@@ -473,7 +447,6 @@ impl Service {
             rejected_full: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
         };
-        let trace_capacity = cfg.trace_capacity;
         let fleet_cfg = {
             let mut f = FleetConfig::default()
                 .with_shards(cfg.shards)
@@ -482,12 +455,10 @@ impl Service {
             f
         };
         let run = komodo_fleet::run(fleet_cfg, |fleet| {
-            let handle = ServiceHandle {
+            body(&ServiceHandle {
                 fleet,
                 shared: &shared,
-                trace_capacity,
-            };
-            body(&handle)
+            })
         });
         // Sessions left open by the client are torn down with the node
         // (their platforms are owned here; dropping them frees
@@ -510,26 +481,59 @@ impl Service {
     }
 }
 
-/// Dispatches one request to its handler. Returns the outcome plus the
-/// simulated-machine counters the request accrued — exactly what the
-/// job folds into the fleet metrics (the conservation law the tests
-/// check).
-fn handle_request(
-    req: Request,
-    ctx: &mut ShardCtx<'_>,
-    shared: &Shared,
-    trace_capacity: usize,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let req_id = ctx.job_index() as u32;
-    let kind = req.kind_code();
-    match req {
-        Request::Attest { report } => pooled(ctx, trace_capacity, req_id, kind, |p| {
-            run_notary(p, 1, &pad_report(&report))
-                .map(|(counter, mac)| Response::Quote { counter, mac })
-        }),
+/// What a handler returns: the outcome plus the simulated-machine
+/// counters the request accrued — exactly what its job folds into the
+/// fleet metrics (the conservation law the tests check).
+type Handled = (Result<Response, ServiceError>, MetricsSnapshot);
+
+/// A request's trace frame: the one place a handler's platform work is
+/// bracketed by the request's dispatch and completion events.
+#[derive(Clone, Copy)]
+struct Frame {
+    req: u32,
+    kind: u8,
+}
+
+impl Frame {
+    /// Records [`Event::ReqDispatch`], runs `work` on `p`, and records
+    /// [`Event::ReqComplete`] with whether the work succeeded.
+    fn run<T, E>(
+        self,
+        p: &mut Platform,
+        work: impl FnOnce(&mut Platform) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let Frame { req, kind } = self;
+        let c = p.cycles();
+        p.machine.trace.record(c, Event::ReqDispatch { req, kind });
+        let res = work(p);
+        let c = p.cycles();
+        p.machine.trace.record(
+            c,
+            Event::ReqComplete {
+                req,
+                ok: res.is_ok(),
+            },
+        );
+        res
+    }
+}
+
+/// Dispatches one request to its handler.
+fn handle_request(req: Request, ctx: &mut ShardCtx<'_>, shared: &Shared) -> Handled {
+    let frame = Frame {
+        req: ctx.job_index() as u32,
+        kind: req.kind_code(),
+    };
+    let (session, step) = match req {
+        Request::Attest { report } => {
+            return pooled(ctx, shared, frame, |p| {
+                run_notary(p, 1, &pad_report(&report))
+                    .map(|(counter, mac)| Response::Quote { counter, mac })
+            })
+        }
         Request::Notarize { doc_kb } => {
             let seed = ctx.seed();
-            pooled(ctx, trace_capacity, req_id, kind, |p| {
+            return pooled(ctx, shared, frame, |p| {
                 let kb = doc_kb.max(1);
                 let doc: Vec<u32> = (0..kb * 256)
                     .map(|i| (splitmix64(seed.wrapping_add(i as u64)) >> 32) as u32)
@@ -537,86 +541,65 @@ fn handle_request(
                 let doc_pages = (kb * 1024).div_ceil(4096);
                 run_notary(p, doc_pages, &doc)
                     .map(|(counter, mac)| Response::Notarized { counter, mac })
-            })
+            });
         }
-        Request::Invoke { code, steps } => invoke(ctx, trace_capacity, req_id, kind, &code, steps),
-        Request::SessionOpen => session_open(ctx, shared, trace_capacity, req_id, kind),
-        Request::SessionPut { session, value } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
-            ctx,
-            ProtoStep::Kv(KvStep::Put { value }),
-        ),
-        Request::SessionGet { session } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
-            ctx,
-            ProtoStep::Kv(KvStep::Get),
-        ),
-        Request::SessionClose { session } => session_close(shared, session, req_id, kind, ctx),
+        Request::Invoke { code, steps } => return invoke(ctx, shared, frame, &code, steps),
+        Request::SessionOpen => {
+            return open_session(
+                ctx,
+                shared,
+                frame,
+                SecretKeeper::image(),
+                |_, _, session| {
+                    Ok((
+                        SessionState::SecretKeeper(()),
+                        Response::SessionOpened { session },
+                    ))
+                },
+            )
+        }
         Request::HandshakeBegin {
             nonce,
             verifier_share,
-        } => handshake_begin(
-            ctx,
-            shared,
-            trace_capacity,
-            req_id,
-            kind,
-            nonce,
-            verifier_share,
-        ),
-        Request::HandshakeConfirm { session, tag } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
-            ctx,
-            ProtoStep::Attested(AttestedStep::Confirm { tag }),
-        ),
-        Request::AttestedSend { session, payload } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
-            ctx,
-            ProtoStep::Attested(AttestedStep::Send { payload }),
-        ),
-    }
+        } => {
+            let begun = Attested::open(ctx.job_index());
+            return open_session(ctx, shared, frame, Attested::image(), |p, e, session| {
+                let quote = Attested::begin(p, e, session, &nonce, verifier_share)?;
+                Ok((
+                    SessionState::Attested(begun),
+                    Response::HandshakeQuote { session, quote },
+                ))
+            });
+        }
+        Request::SessionClose { session } => return session_close(ctx, shared, frame, session),
+        Request::SessionPut { session, value } => (session, ProtoStep::Kv(KvStep::Put { value })),
+        Request::SessionGet { session } => (session, ProtoStep::Kv(KvStep::Get)),
+        Request::HandshakeConfirm { session, tag } => {
+            (session, ProtoStep::Attested(AttestedStep::Confirm { tag }))
+        }
+        Request::AttestedSend { session, payload } => {
+            (session, ProtoStep::Attested(AttestedStep::Send { payload }))
+        }
+    };
+    session_step(ctx, shared, frame, session, step)
 }
 
-/// Runs `f` on the shard's pooled platform with request-span trace
-/// events around it, returning the platform's full counter snapshot
-/// (the platform was fresh at job start, so the snapshot is exactly
-/// this request's work — matching what the scheduler folds).
+/// Runs `f` on the shard's pooled platform inside the request's frame,
+/// returning the platform's full counter snapshot (the platform was
+/// fresh at job start, so the snapshot is exactly this request's work —
+/// matching what the scheduler folds).
 fn pooled(
     ctx: &mut ShardCtx<'_>,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
+    shared: &Shared,
+    frame: Frame,
     f: impl FnOnce(&mut Platform) -> Result<Response, ServiceError>,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
+) -> Handled {
     let p = ctx.platform();
-    if trace_capacity > 0 {
-        p.set_trace(trace_capacity);
+    if shared.trace_capacity > 0 {
+        p.set_trace(shared.trace_capacity);
     }
-    let c = p.cycles();
-    p.machine.trace.record(c, Event::ReqDispatch { req, kind });
-    let res = f(p);
-    let c = p.cycles();
-    p.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: res.is_ok(),
-        },
-    );
-    let sim = p.machine.metrics_snapshot();
-    (res, sim)
+    let res = frame.run(p, f);
+    (res, p.machine.metrics_snapshot())
 }
 
 /// Zero-pads an 8-word report to one SHA block (16 words).
@@ -657,15 +640,15 @@ fn run_notary(
 /// fold and returned as the request's snapshot.
 fn invoke(
     ctx: &mut ShardCtx<'_>,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
+    shared: &Shared,
+    frame: Frame,
     code: &[Word],
     steps: u64,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
+) -> Handled {
+    let Frame { req, kind } = frame;
     let mut m = user::sandbox(code);
-    if trace_capacity > 0 {
-        m.set_trace_capacity(trace_capacity);
+    if shared.trace_capacity > 0 {
+        m.set_trace_capacity(shared.trace_capacity);
     }
     m.trace.record(m.cycles, Event::ReqDispatch { req, kind });
     let exit = m.run_user(steps);
@@ -683,123 +666,51 @@ fn invoke(
     (res, sim)
 }
 
-fn session_open(
+/// Opens a session of any protocol: boots a dedicated platform (seed
+/// derived from this request's id, so batched opens are
+/// shard-count-invariant), allocates the session id, then loads `image`
+/// and runs the protocol's `start` step inside the request's frame.
+/// `start` gets the session id and returns the session's initial state
+/// and the open reply. Boot, load and start cycles are the open
+/// request's; a session whose load or start fails never enters the
+/// table.
+fn open_session(
     ctx: &mut ShardCtx<'_>,
     shared: &Shared,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let open_req = ctx.job_index();
-    let seed = protocol::session_seed(&shared.platform_cfg, open_req);
-    let cfg = shared.platform_cfg.clone().with_seed(seed);
-    let mut platform = Platform::with_config(cfg);
-    if trace_capacity > 0 {
-        platform.set_trace(trace_capacity);
+    frame: Frame,
+    image: Image,
+    start: impl FnOnce(&mut Platform, &Enclave, u64) -> Result<(SessionState, Response), ServiceError>,
+) -> Handled {
+    let seed = protocol::session_seed(&shared.platform_cfg, ctx.job_index());
+    let mut platform = Platform::with_config(shared.platform_cfg.clone().with_seed(seed));
+    if shared.trace_capacity > 0 {
+        platform.set_trace(shared.trace_capacity);
     }
-    let c = platform.cycles();
-    platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    let loaded = platform.load(&SecretKeeper::image());
-    let c = platform.cycles();
-    platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: loaded.is_ok(),
-        },
-    );
-    // Boot and load cycles are attributed to the open request.
-    let sim = platform.machine.metrics_snapshot();
-    ctx.absorb(&sim);
-    match loaded {
-        Ok(enclave) => {
-            let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-            // SecretKeeper's open is stateless (State = ()); the call
-            // stays so the Protocol contract is exercised uniformly.
-            SecretKeeper::open(open_req);
-            shared.sessions.insert(
-                id,
-                Session {
-                    platform,
-                    enclave,
-                    state: SessionState::SecretKeeper(()),
-                    last: sim,
-                },
-            );
-            (Ok(Response::SessionOpened { session: id }), sim)
-        }
-        Err(k) => (
-            Err(ServiceError::Enclave(format!("session load: {k:?}"))),
-            sim,
-        ),
-    }
-}
-
-/// Opens an attested session: a dedicated platform (seed derived from
-/// this request's id, so batched handshakes are shard-count-invariant),
-/// the RA enclave, and the in-enclave handshake — keypair, DH, key
-/// derivation, quote. The session enters the table awaiting the
-/// verifier's confirmation; a failed handshake never enters the table
-/// at all.
-fn handshake_begin(
-    ctx: &mut ShardCtx<'_>,
-    shared: &Shared,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
-    nonce: [u32; 4],
-    verifier_share: u64,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let open_req = ctx.job_index();
-    let seed = protocol::session_seed(&shared.platform_cfg, open_req);
-    let cfg = shared.platform_cfg.clone().with_seed(seed);
-    let mut platform = Platform::with_config(cfg);
-    if trace_capacity > 0 {
-        platform.set_trace(trace_capacity);
-    }
-    let c = platform.cycles();
-    platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    // The session id is allocated before the quote runs so the
-    // handshake-phase trace events carry it.
+    // Allocated before the enclave runs, so the start step's trace
+    // events carry it.
     let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    let quoted = match platform.load(&Attested::image()) {
-        Ok(enclave) => Attested::begin(&mut platform, &enclave, id, &nonce, verifier_share)
-            .map(|q| (enclave, q)),
-        Err(k) => Err(ServiceError::Enclave(format!("ra load: {k:?}"))),
-    };
-    let c = platform.cycles();
-    platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: quoted.is_ok(),
-        },
-    );
-    // Boot, load and handshake cycles are attributed to the begin
-    // request.
+    let opened = frame.run(&mut platform, |p| {
+        let enclave = p
+            .load(&image)
+            .map_err(|k| ServiceError::Enclave(format!("session load: {k:?}")))?;
+        let (state, reply) = start(p, &enclave, id)?;
+        Ok((enclave, state, reply))
+    });
     let sim = platform.machine.metrics_snapshot();
     ctx.absorb(&sim);
-    match quoted {
-        Ok((enclave, quote)) => {
-            shared.sessions.insert(
-                id,
-                Session {
-                    platform,
-                    enclave,
-                    state: SessionState::Attested(Attested::open(open_req)),
-                    last: sim,
-                },
-            );
-            (Ok(Response::HandshakeQuote { session: id, quote }), sim)
-        }
-        Err(e) => (Err(e), sim),
-    }
+    let res = opened.map(|(enclave, state, reply)| {
+        shared.sessions.insert(
+            id,
+            Session {
+                platform,
+                enclave,
+                state,
+                last: sim,
+            },
+        );
+        reply
+    });
+    (res, sim)
 }
 
 /// Runs one typed protocol step on an open session, absorbing only the
@@ -810,38 +721,25 @@ fn handshake_begin(
 /// A terminal step ([`Verdict::Close`]) tears the session down under
 /// the same stripe hold.
 fn session_step(
-    shared: &Shared,
-    session: u64,
-    req: u32,
-    kind: u8,
     ctx: &mut ShardCtx<'_>,
+    shared: &Shared,
+    frame: Frame,
+    session: u64,
     step: ProtoStep,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
+) -> Handled {
     let step_ctx = StepCtx {
         session,
         now_req: ctx.job_index(),
         handshake_ttl: shared.handshake_ttl,
     };
     let out = shared.sessions.step(session, |s| {
-        let c = s.platform.cycles();
-        s.platform
-            .machine
-            .trace
-            .record(c, Event::ReqDispatch { req, kind });
-        let (res, verdict) =
-            protocol::dispatch(&mut s.state, &mut s.platform, &s.enclave, step, &step_ctx);
-        let c = s.platform.cycles();
-        s.platform.machine.trace.record(
-            c,
-            Event::ReqComplete {
-                req,
-                ok: res.is_ok(),
-            },
-        );
-        let snap = s.platform.machine.metrics_snapshot();
-        let delta = snap.delta_since(&s.last);
-        s.last = snap;
-        ((res, delta), verdict)
+        let mut verdict = Verdict::Keep;
+        let res = frame.run(&mut s.platform, |p| {
+            let (res, v) = protocol::dispatch(&mut s.state, p, &s.enclave, step, &step_ctx);
+            verdict = v;
+            res
+        });
+        ((res, s.take_delta()), verdict)
     });
     let (res, delta) = out.unwrap_or_else(|| {
         (
@@ -853,40 +751,21 @@ fn session_step(
     (res, delta)
 }
 
-fn session_close(
-    shared: &Shared,
-    session: u64,
-    req: u32,
-    kind: u8,
-    ctx: &mut ShardCtx<'_>,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
+/// Tears a session down: removes it from the table, then destroys its
+/// enclave inside the request's frame.
+fn session_close(ctx: &mut ShardCtx<'_>, shared: &Shared, frame: Frame, session: u64) -> Handled {
     let Some(mut s) = shared.sessions.remove(session) else {
         return (
             Err(ServiceError::NoSuchSession(session)),
             MetricsSnapshot::default(),
         );
     };
-    let c = s.platform.cycles();
-    s.platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    let destroyed = s.platform.destroy(&s.enclave);
-    let c = s.platform.cycles();
-    s.platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: destroyed.is_ok(),
-        },
-    );
-    let snap = s.platform.machine.metrics_snapshot();
-    let delta = snap.delta_since(&s.last);
+    let destroyed = frame.run(&mut s.platform, |p| p.destroy(&s.enclave));
+    let delta = s.take_delta();
     ctx.absorb(&delta);
-    let res = match destroyed {
-        Ok(()) => Ok(Response::SessionClosed),
-        Err(k) => Err(ServiceError::Enclave(format!("session destroy: {k:?}"))),
-    };
+    let res = destroyed
+        .map(|()| Response::SessionClosed)
+        .map_err(|k| ServiceError::Enclave(format!("session destroy: {k:?}")));
     (res, delta)
 }
 
@@ -918,14 +797,55 @@ mod tests {
         assert!(t.stripe(3).try_lock().is_ok(), "drop releases the stripe");
     }
 
-    /// `with` on an unknown id sees `None`; `clear` empties every
+    /// The frame brackets the work: `ReqDispatch` before anything the
+    /// work records, `ReqComplete` after it, carrying the outcome.
+    #[test]
+    fn frame_brackets_the_work_with_the_request_events() {
+        let mut p = Platform::with_config(ServiceConfig::default().platform);
+        p.set_trace(16);
+        let frame = Frame { req: 7, kind: 3 };
+        let inner = Event::HsPhase {
+            phase: 0,
+            session: 1,
+        };
+        let work = |ok: bool| {
+            move |p: &mut Platform| {
+                let c = p.cycles();
+                p.machine.trace.record(c, inner);
+                if ok {
+                    Ok(())
+                } else {
+                    Err(())
+                }
+            }
+        };
+        assert_eq!(frame.run(&mut p, work(true)), Ok(()));
+        assert_eq!(frame.run(&mut p, work(false)), Err(()));
+        let events: Vec<Event> = p.machine.trace.iter().map(|s| s.event).collect();
+        let dispatch = Event::ReqDispatch { req: 7, kind: 3 };
+        let complete = |ok| Event::ReqComplete { req: 7, ok };
+        assert_eq!(
+            events,
+            [
+                dispatch,
+                inner,
+                complete(true),
+                dispatch,
+                inner,
+                complete(false)
+            ]
+        );
+    }
+
+    /// A step on an unknown id sees `None`; `clear` empties every
     /// stripe without deadlocking on any of them.
     #[test]
     fn session_table_lookup_and_clear() {
         let t = SessionTable::new();
-        assert!(t.with(17, |s| s.is_none()));
+        let unknown = |t: &SessionTable| t.step(17, |_| ((), Verdict::Keep)).is_none();
+        assert!(unknown(&t));
         assert!(t.remove(17).is_none());
         t.clear();
-        assert!(t.with(17, |s| s.is_none()));
+        assert!(unknown(&t));
     }
 }

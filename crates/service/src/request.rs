@@ -124,22 +124,6 @@ impl Request {
             Request::AttestedSend { .. } => 9,
         }
     }
-
-    /// Human-readable kind name.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Attest { .. } => "attest",
-            Request::Notarize { .. } => "notarize",
-            Request::Invoke { .. } => "invoke",
-            Request::SessionOpen => "session-open",
-            Request::SessionPut { .. } => "session-put",
-            Request::SessionGet { .. } => "session-get",
-            Request::SessionClose { .. } => "session-close",
-            Request::HandshakeBegin { .. } => "handshake-begin",
-            Request::HandshakeConfirm { .. } => "handshake-confirm",
-            Request::AttestedSend { .. } => "attested-send",
-        }
-    }
 }
 
 /// A successful request's result.

@@ -4,8 +4,8 @@
 
 use komodo::PlatformConfig;
 use komodo_service::{
-    drive, drive_indexed, schedule, schedule_indexed, ArrivalIdx, Mix, Reject, Request, Response,
-    Service, ServiceConfig, ServiceError, Ticket,
+    drive, drive_attested, schedule, AttestedClient, Mix, Reject, Request, Response, Service,
+    ServiceConfig, ServiceError, Ticket,
 };
 use std::sync::Arc;
 
@@ -119,11 +119,16 @@ fn notarize_and_invoke_produce_work() {
 
 /// Satellite: metrics conservation — the fleet's folded totals equal
 /// the sum of per-request records, across every request kind including
-/// long-lived sessions (delta attribution) and pooled-platform work.
+/// long-lived sessions of both protocols (delta attribution) and
+/// pooled-platform work. Tracing is armed, so every request that ran a
+/// machine carries its dispatch and completion events in its own
+/// record, and an error that ran nothing carries default counters.
 #[test]
 fn fleet_totals_equal_the_sum_of_request_records() {
     let code = loop_code();
-    let r = Service::run(cfg(3), |h| {
+    let config = cfg(3).with_trace_capacity(256);
+    let client = AttestedClient::new(config.platform.seed);
+    let r = Service::run(config, |h| {
         let mut tickets: Vec<Ticket> = Vec::new();
         tickets.push(h.submit(Request::Attest { report: [9; 8] }).unwrap());
         tickets.push(h.submit(Request::Notarize { doc_kb: 4 }).unwrap());
@@ -155,11 +160,26 @@ fn fleet_totals_equal_the_sum_of_request_records() {
         for t in tickets {
             let _ = t.wait();
         }
+        // Two attested sessions: begin, confirm, two sends and close
+        // each.
+        drive_attested(h, &client, 0xc0de, 2, 2)
     });
-    assert_eq!(r.records.len(), 10);
+    assert_eq!(r.value.established, 2, "{:?}", r.value);
+    assert_eq!((r.value.messages, r.value.failed), (4, 0));
+    assert_eq!(r.records.len(), 10 + 2 * 5);
     let mut summed = komodo_trace::MetricsSnapshot::default();
     for rec in &r.records {
         summed.absorb(&rec.sim);
+        if rec.ok {
+            assert!(
+                rec.sim.trace_recorded >= 2,
+                "request {} (kind {}) lacks its dispatch and completion events",
+                rec.req,
+                rec.kind
+            );
+        } else {
+            assert_eq!(rec.sim, komodo_trace::MetricsSnapshot::default());
+        }
     }
     let total = r.metrics.total();
     assert_eq!(
@@ -170,7 +190,7 @@ fn fleet_totals_equal_the_sum_of_request_records() {
     // The report surfaces the same totals.
     let rep = r.report();
     assert_eq!(rep.total, total);
-    assert_eq!(rep.requests, 10);
+    assert_eq!(rep.requests, 20);
     assert_eq!(rep.errors, 1);
 }
 
@@ -348,10 +368,9 @@ fn seeded_load_is_replayable() {
         .with(2, Request::Attest { report: [3; 8] })
         .with(1, Request::Notarize { doc_kb: 1 });
     let arrivals = schedule(0xfeed, 10, 0, &mix).unwrap();
-    let run =
-        |arrivals: &[komodo_service::Arrival]| Service::run(cfg(2), |h| drive(h, arrivals, false));
-    let a = run(&arrivals);
-    let b = run(&arrivals);
+    let run = || Service::run(cfg(2), |h| drive(h, &mix, &arrivals, false, 1, 1).outcome);
+    let a = run();
+    let b = run();
     assert_eq!(a.value, b.value);
     assert_eq!(a.value.ok, 10);
     assert_eq!(a.value.rejected, 0);
@@ -386,17 +405,17 @@ fn traced_requests_record_spans() {
 /// `submit_batch` behaves exactly like per-request submission — same
 /// responses, same records, same conservation law — and the
 /// request→seed mapping is shard-count independent (1 shard vs 4,
-/// driven through the streaming schedule with one submitter so the
-/// index assignment is deterministic).
+/// driven with one submitter so the index assignment is
+/// deterministic).
 #[test]
 fn batched_submission_is_shard_count_invariant() {
     let mix = Mix::new()
         .with(2, Request::Attest { report: [3; 8] })
         .with(1, Request::Notarize { doc_kb: 1 });
-    let arrivals = schedule_indexed(0x5eed, 24, 0, &mix).unwrap();
+    let arrivals = schedule(0x5eed, 24, 0, &mix).unwrap();
     let sweep = |shards: usize| {
         let r = Service::run(cfg(shards), |h| {
-            drive_indexed(h, &mix, &arrivals, false, 1, 8).outcome
+            drive(h, &mix, &arrivals, false, 1, 8).outcome
         });
         // Per-request records, keyed by deterministic request id.
         let mut recs: Vec<_> = r
@@ -483,26 +502,23 @@ fn paced_driver_counts_behind_schedule() {
     for (i, a) in arrivals.iter_mut().enumerate() {
         a.at_ns = 1 + i as u64;
     }
-    let paced = Service::run(cfg(1), |h| drive(h, &arrivals, true));
-    assert_eq!(paced.value.ok, 6);
+    let run = |pace: bool, batch: usize| {
+        Service::run(cfg(1), |h| {
+            drive(h, &mix, &arrivals, pace, 1, batch).outcome
+        })
+        .value
+    };
+    let paced = run(true, 1);
+    assert_eq!(paced.ok, 6);
     assert!(
-        paced.value.behind_schedule >= 5,
+        paced.behind_schedule >= 5,
         "overdue arrivals must be counted, got {}",
-        paced.value.behind_schedule
+        paced.behind_schedule
     );
     // An unpaced burst has no schedule to lag behind.
-    let burst = Service::run(cfg(1), |h| drive(h, &arrivals, false));
-    assert_eq!(burst.value.behind_schedule, 0);
-    // The parallel driver counts lag the same way.
-    let streamed: Vec<ArrivalIdx> = arrivals
-        .iter()
-        .map(|a| ArrivalIdx {
-            at_ns: a.at_ns,
-            proto: 0,
-        })
-        .collect();
-    let report = Service::run(cfg(1), |h| drive_indexed(h, &mix, &streamed, true, 1, 4));
-    assert!(report.value.outcome.behind_schedule >= 5);
+    assert_eq!(run(false, 1).behind_schedule, 0);
+    // Batched submission counts lag the same way.
+    assert!(run(true, 4).behind_schedule >= 5);
 }
 
 /// Parallel batched ingestion conserves everything: K submitter
@@ -516,10 +532,8 @@ fn parallel_batched_ingest_conserves_records_and_metrics() {
         .with(3, Request::Attest { report: [4; 8] })
         .with(1, Request::Notarize { doc_kb: 1 });
     let n = 64usize;
-    let arrivals = schedule_indexed(0xcafe, n, 0, &mix).unwrap();
-    let r = Service::run(cfg(4), |h| {
-        drive_indexed(h, &mix, &arrivals, false, 4, 8).outcome
-    });
+    let arrivals = schedule(0xcafe, n, 0, &mix).unwrap();
+    let r = Service::run(cfg(4), |h| drive(h, &mix, &arrivals, false, 4, 8).outcome);
     let o = r.value;
     assert_eq!(
         o.ok + o.errors + o.rejected,

@@ -6,10 +6,7 @@
 //! cargo run --release --example service_node
 //! ```
 
-use komodo_service::{
-    drive, drive_indexed, schedule, schedule_indexed, Mix, Reject, Request, Response, Service,
-    ServiceConfig,
-};
+use komodo_service::{drive, schedule, Mix, Reject, Request, Response, Service, ServiceConfig};
 
 fn main() {
     // A 4-shard node with a small bounded queue so backpressure is
@@ -62,24 +59,25 @@ fn main() {
             .wait()
             .expect("close succeeds");
 
-        // 3. Open-loop load: a seeded burst of notarisations. The
-        //    schedule is deterministic in the seed, so rejection
-        //    behaviour under the bounded queue is replayable.
+        // 3. Open-loop load: a seeded burst of notarisations, submitted
+        //    one request at a time. The schedule is deterministic in
+        //    the seed, so rejection behaviour under the bounded queue
+        //    is replayable.
         let mix = Mix::new()
             .with(3, Request::Notarize { doc_kb: 2 })
             .with(1, Request::Attest { report: [7; 8] });
         let arrivals = schedule(0xBEEF, 48, 0, &mix).expect("mix has weight");
-        let outcome = drive(node, &arrivals, false);
+        let outcome = drive(node, &mix, &arrivals, false, 1, 1).outcome;
         println!(
             "open-loop burst: {} ok, {} errors, {} shed by backpressure",
             outcome.ok, outcome.errors, outcome.rejected
         );
 
-        // 4. Parallel batched ingestion: the streaming schedule holds
-        //    prototype indices (no payload copies), and two submitter
-        //    threads admit their partitions in batches of 16.
-        let streamed = schedule_indexed(0xBEEF, 96, 0, &mix).expect("mix has weight");
-        let report = drive_indexed(node, &mix, &streamed, false, 2, 16);
+        // 4. Parallel batched ingestion: the schedule holds prototype
+        //    indices (no payload copies), and two submitter threads
+        //    admit their partitions in batches of 16.
+        let arrivals = schedule(0xBEEF, 96, 0, &mix).expect("mix has weight");
+        let report = drive(node, &mix, &arrivals, false, 2, 16);
         println!(
             "batched parallel burst: {} ok, {} errors, {} shed, submit phase {:?}",
             report.outcome.ok, report.outcome.errors, report.outcome.rejected, report.submit_wall

@@ -313,8 +313,7 @@ fn prop_completed_sessions_derive_equal_keys() {
     let client = AttestedClient::new(config.platform.seed);
     for _ in 0..6 {
         let seed = (0u64..u64::MAX).generate(&mut rng);
-        let r = Service::run(config.clone(), |h| drive_attested(h, &client, seed, 3, 2));
-        let o = r.value.outcome;
+        let o = Service::run(config.clone(), |h| drive_attested(h, &client, seed, 3, 2)).value;
         assert_eq!(o.established, 3, "seed {seed:#x}: a handshake failed");
         assert_eq!(
             o.messages, 6,
@@ -465,7 +464,7 @@ fn handshake_wave_is_shard_count_invariant() {
     let client = AttestedClient::new(cfg(1).platform.seed);
     let sweep = |shards: usize| {
         let r = Service::run(cfg(shards), |h| {
-            drive_attested(h, &client, 0x1000_0001, sessions, 1).outcome
+            drive_attested(h, &client, 0x1000_0001, sessions, 1)
         });
         let mut recs: Vec<_> = r
             .records
