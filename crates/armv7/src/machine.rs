@@ -471,6 +471,34 @@ impl Machine {
         self.charge(cost::MEM);
         self.mem.write(pa, v, AccessAttrs::MONITOR)
     }
+
+    /// [`Machine::mon_read`] of `out.len()` consecutive words in one
+    /// step, charged as the per-word loop is: `cost::MEM` for every word
+    /// it attempts, the faulting one included.
+    pub fn mon_read_words(
+        &mut self,
+        pa: Addr,
+        out: &mut [Word],
+    ) -> Result<(), crate::error::MemFault> {
+        let before = self.mem.reads;
+        let res = self.mem.read_words(pa, out, AccessAttrs::MONITOR);
+        self.charge(cost::MEM * (self.mem.reads - before + res.is_err() as u64));
+        res
+    }
+
+    /// [`Machine::mon_write`] of consecutive words in one step, charged
+    /// as the per-word loop is: `cost::MEM` for every word it attempts,
+    /// the faulting one included.
+    pub fn mon_write_words(
+        &mut self,
+        pa: Addr,
+        words: &[Word],
+    ) -> Result<(), crate::error::MemFault> {
+        let before = self.mem.writes;
+        let res = self.mem.write_words(pa, words, AccessAttrs::MONITOR);
+        self.charge(cost::MEM * (self.mem.writes - before + res.is_err() as u64));
+        res
+    }
 }
 
 impl Default for Machine {
@@ -617,6 +645,44 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Machine>();
         assert_send::<PhysMem>();
+    }
+
+    #[test]
+    fn monitor_word_ranges_charge_like_the_per_word_loop() {
+        let build = || {
+            let mut m = Machine::new();
+            m.mem.add_region(0, 0x2000, false);
+            m.mem.add_region(0x8000_0000, 0x2000, true);
+            m
+        };
+        let words: Vec<Word> = (1..=40).collect();
+        // Ranges that fit, cross a frame, start unaligned, and run off a
+        // region's end (faulting at word 8).
+        for pa in [
+            0x8000_0ff0,
+            0x8000_1000,
+            0x8000_0002,
+            0x8000_1fe0,
+            0x0000_1fe0,
+        ] {
+            let (mut bulk, mut each) = (build(), build());
+            let got = bulk.mon_write_words(pa, &words);
+            let want = words
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, &w)| each.mon_write(pa + i as u32 * 4, w));
+            assert_eq!(got, want, "write at {pa:#x}");
+            assert!(bulk == each, "write at {pa:#x}: machines differ");
+            let mut out = vec![0; words.len()];
+            let got = bulk.mon_read_words(pa, &mut out);
+            let mut want_out = vec![0; words.len()];
+            let want = want_out
+                .iter_mut()
+                .enumerate()
+                .try_for_each(|(i, o)| each.mon_read(pa + i as u32 * 4).map(|w| *o = w));
+            assert_eq!((got, out), (want, want_out), "read at {pa:#x}");
+            assert!(bulk == each, "read at {pa:#x}: machines differ");
+        }
     }
 
     #[test]

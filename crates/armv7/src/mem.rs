@@ -377,21 +377,120 @@ impl PhysMem {
         self.write(aligned, nw, attrs)
     }
 
-    /// Copies `words.len()` words into memory starting at `addr` (loader
-    /// and test convenience; monitor-attributed).
-    pub fn load_words(&mut self, addr: Addr, words: &[Word]) -> Result<(), MemFault> {
-        for (i, w) in words.iter().enumerate() {
-            self.write(addr + (i as u32) * WORD_BYTES, *w, AccessAttrs::MONITOR)?;
+    /// The region a bulk access of `n` words at `addr` may take in one
+    /// step: `addr` is word-aligned, the whole range lies in that one
+    /// region, and `attrs` pass its TrustZone check. `None` means some
+    /// word of the range would fault, or lies in another region.
+    fn bulk_region(&self, addr: Addr, n: usize, attrs: AccessAttrs) -> Option<usize> {
+        if !word_aligned(addr) {
+            return None;
+        }
+        let ri = self.regions.iter().position(|r| r.contains(addr))?;
+        let r = &self.regions[ri];
+        let fits =
+            u64::from(addr - r.base) + n as u64 * u64::from(WORD_BYTES) <= u64::from(r.len_bytes);
+        (fits && (!r.secure || attrs.secure)).then_some(ri)
+    }
+
+    /// Reads `out.len()` consecutive words starting at `addr`, exactly as
+    /// that many [`PhysMem::read`]s in address order would: the same
+    /// words, the same `reads` count, and on a fault the same first
+    /// fault, with the words before it already in `out`. A range that
+    /// lies in one region and passes its TrustZone check takes one region
+    /// lookup, one check and one counter bump; any other range runs the
+    /// per-word loop.
+    pub fn read_words(
+        &mut self,
+        addr: Addr,
+        out: &mut [Word],
+        attrs: AccessAttrs,
+    ) -> Result<(), MemFault> {
+        let Some(ri) = self.bulk_region(addr, out.len(), attrs) else {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.read(addr.wrapping_add(i as u32 * WORD_BYTES), attrs)?;
+            }
+            return Ok(());
+        };
+        let r = &self.regions[ri];
+        for (at, n) in chunks_by_frame(addr, out.len()) {
+            let (f, w) = r.slot(addr + at as u32 * WORD_BYTES);
+            let chunk = &mut out[at..at + n];
+            match &r.frames[f] {
+                Some(frame) => chunk.copy_from_slice(&frame[w..w + n]),
+                None => chunk.fill(0),
+            }
+        }
+        self.reads += out.len() as u64;
+        Ok(())
+    }
+
+    /// Writes `words` to consecutive words starting at `addr`, exactly as
+    /// that many [`PhysMem::write`]s in address order would: the same
+    /// contents, resident frames and `writes` count, and on a fault the
+    /// same first fault with the words before it written. The code
+    /// generation moves if any watched frame was written. A range that
+    /// lies in one region and passes its TrustZone check takes one region
+    /// lookup, one check and one counter bump; any other range runs the
+    /// per-word loop.
+    pub fn write_words(
+        &mut self,
+        addr: Addr,
+        words: &[Word],
+        attrs: AccessAttrs,
+    ) -> Result<(), MemFault> {
+        let Some(ri) = self.bulk_region(addr, words.len(), attrs) else {
+            for (i, &w) in words.iter().enumerate() {
+                self.write(addr.wrapping_add(i as u32 * WORD_BYTES), w, attrs)?;
+            }
+            return Ok(());
+        };
+        let r = &mut self.regions[ri];
+        let mut watched = false;
+        for (at, n) in chunks_by_frame(addr, words.len()) {
+            let (f, w) = r.slot(addr + at as u32 * WORD_BYTES);
+            let chunk = &words[at..at + n];
+            match &mut r.frames[f] {
+                Some(frame) => frame[w..w + n].copy_from_slice(chunk),
+                absent if chunk.iter().any(|&v| v != 0) => {
+                    absent.insert(zero_frame())[w..w + n].copy_from_slice(chunk)
+                }
+                None => {}
+            }
+            watched |= r.watched[f];
+        }
+        self.writes += words.len() as u64;
+        if watched {
+            self.code_gen = self.code_gen.wrapping_add(1);
         }
         Ok(())
     }
 
+    /// Copies `words.len()` words into memory starting at `addr` (loader
+    /// and test convenience; monitor-attributed).
+    pub fn load_words(&mut self, addr: Addr, words: &[Word]) -> Result<(), MemFault> {
+        self.write_words(addr, words, AccessAttrs::MONITOR)
+    }
+
     /// Reads `n` words starting at `addr` (test convenience).
     pub fn dump_words(&mut self, addr: Addr, n: usize) -> Result<Vec<Word>, MemFault> {
-        (0..n)
-            .map(|i| self.read(addr + (i as u32) * WORD_BYTES, AccessAttrs::MONITOR))
-            .collect()
+        let mut out = vec![0; n];
+        self.read_words(addr, &mut out, AccessAttrs::MONITOR)?;
+        Ok(out)
     }
+}
+
+/// Splits `n` words starting at the word-aligned `addr` at page-frame
+/// boundaries, as `(index of the chunk's first word, chunk length)`.
+fn chunks_by_frame(addr: Addr, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let first = WORDS_PER_PAGE - (page_offset(addr) / WORD_BYTES) as usize;
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        (at < n).then(|| {
+            let len = if at == 0 { first } else { WORDS_PER_PAGE }.min(n - at);
+            at += len;
+            (at - len, len)
+        })
+    })
 }
 
 impl Default for PhysMem {

@@ -9,6 +9,12 @@
 //! step the result or fault, both access counters, the code generation,
 //! the resident frame count and the contents of every touched address
 //! must agree.
+//!
+//! The bulk word ranges ([`PhysMem::read_words`], [`PhysMem::write_words`])
+//! are checked against the per-word loop they stand for, run on a twin
+//! memory: the result or first fault, the words read, both counters, the
+//! contents, the resident frames and whether the code generation moved
+//! must agree after every call.
 
 use std::collections::BTreeSet;
 
@@ -31,8 +37,12 @@ const REGIONS: [(Addr, u32, bool); 3] = [
 const BASES: [Addr; 4] = [0x0000_0000, 0x8000_0000, 0x4000_0000, 0x2000_0000];
 
 fn build() -> PhysMem {
+    build_from(&REGIONS)
+}
+
+fn build_from(regions: &[(Addr, u32, bool)]) -> PhysMem {
     let mut m = PhysMem::new();
-    for (base, size, secure) in REGIONS {
+    for &(base, size, secure) in regions {
         m.add_region(base, size, secure);
     }
     m
@@ -301,4 +311,144 @@ fn zeroed_back_page_equals_never_written() {
     b.write(0x1004, 1, AccessAttrs::MONITOR).unwrap();
     a.write(0x1004, 2, AccessAttrs::MONITOR).unwrap();
     assert!(a != b, "present frames still compare by content");
+}
+
+/// [`REGIONS`] plus a secure page right after the first normal region, so
+/// a range can run off one region's end into the next.
+const BULK_REGIONS: [(Addr, u32, bool); 4] = [
+    REGIONS[0],
+    REGIONS[1],
+    REGIONS[2],
+    (0x0000_3000, 0x1000, true),
+];
+
+#[derive(Clone, Debug)]
+enum BulkOp {
+    Read(Addr, usize, bool),
+    /// `len` words from [`fill`]: all zero for `None`, else a seeded mix
+    /// of zero and non-zero words.
+    Write(Addr, usize, Option<u32>, bool),
+    /// One non-zero store, so later ranges meet present frames.
+    Poke(Addr, Word),
+    Watch(Addr),
+    ClearWatch,
+}
+
+fn fill(seed: Option<u32>, len: usize) -> Vec<Word> {
+    let Some(seed) = seed else {
+        return vec![0; len];
+    };
+    (0..len as u32)
+        .map(|i| {
+            let x = (seed ^ i).wrapping_mul(0x9e37_79b9).rotate_left(13);
+            if x % 4 == 0 {
+                0
+            } else {
+                x
+            }
+        })
+        .collect()
+}
+
+fn arb_bulk_addr() -> impl Strategy<Value = Addr> {
+    let offset = prop_oneof![
+        // A few words short of a page boundary: the range crosses frames,
+        // or runs off a region's end.
+        (1u32..4, 0u32..24).prop_map(|(p, d)| p * PAGE_SIZE - d * WORD_BYTES),
+        (0u32..0xd00).prop_map(|i| i * WORD_BYTES),
+        0u32..0x3400,
+    ];
+    (0usize..BASES.len(), offset).prop_map(|(b, off)| BASES[b] + off)
+}
+
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..40, 1000usize..1100, 0usize..2600]
+}
+
+fn arb_bulk_op() -> impl Strategy<Value = BulkOp> {
+    let seed = prop_oneof![Just(None), any::<u32>().prop_map(Some)];
+    prop_oneof![
+        (arb_bulk_addr(), arb_len(), any::<bool>()).prop_map(|(a, n, s)| BulkOp::Read(a, n, s)),
+        (arb_bulk_addr(), arb_len(), seed, any::<bool>())
+            .prop_map(|(a, n, f, s)| BulkOp::Write(a, n, f, s)),
+        (arb_addr(), 1u32..u32::MAX).prop_map(|(a, v)| BulkOp::Poke(a & !3, v)),
+        arb_addr().prop_map(BulkOp::Watch),
+        Just(BulkOp::ClearWatch),
+    ]
+}
+
+/// The per-word loop [`PhysMem::read_words`] stands for.
+fn read_each(
+    m: &mut PhysMem,
+    addr: Addr,
+    out: &mut [Word],
+    attrs: AccessAttrs,
+) -> Result<(), MemFault> {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = m.read(addr + i as u32 * WORD_BYTES, attrs)?;
+    }
+    Ok(())
+}
+
+/// The per-word loop [`PhysMem::write_words`] stands for.
+fn write_each(
+    m: &mut PhysMem,
+    addr: Addr,
+    words: &[Word],
+    attrs: AccessAttrs,
+) -> Result<(), MemFault> {
+    for (i, &w) in words.iter().enumerate() {
+        m.write(addr + i as u32 * WORD_BYTES, w, attrs)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn bulk_ranges_match_the_per_word_loop(ops in proptest::collection::vec(arb_bulk_op(), 1..48)) {
+        let mut bulk = build_from(&BULK_REGIONS);
+        let mut each = build_from(&BULK_REGIONS);
+        for (i, op) in ops.iter().enumerate() {
+            let gens = (bulk.code_gen(), each.code_gen());
+            match *op {
+                BulkOp::Read(a, n, s) => {
+                    // Pre-filled, so words a fault leaves unread compare too.
+                    let (mut got, mut want) = (vec![!0; n], vec![!0; n]);
+                    let r = bulk.read_words(a, &mut got, attrs(s));
+                    prop_assert_eq!(r, read_each(&mut each, a, &mut want, attrs(s)), "step {i}: {op:?}");
+                    prop_assert!(got == want, "step {i}: {op:?}: words read differ");
+                }
+                BulkOp::Write(a, n, seed, s) => {
+                    let words = fill(seed, n);
+                    let r = bulk.write_words(a, &words, attrs(s));
+                    prop_assert_eq!(r, write_each(&mut each, a, &words, attrs(s)), "step {i}: {op:?}");
+                }
+                BulkOp::Poke(a, v) => {
+                    let r = bulk.write(a, v, AccessAttrs::MONITOR);
+                    prop_assert_eq!(r, each.write(a, v, AccessAttrs::MONITOR), "step {i}: {op:?}");
+                }
+                BulkOp::Watch(a) => {
+                    let page = page_base(a);
+                    if bulk.code_page_snapshot(page).is_some() {
+                        bulk.watch_code_page(page);
+                        each.watch_code_page(page);
+                    }
+                }
+                BulkOp::ClearWatch => {
+                    bulk.clear_code_watch();
+                    each.clear_code_watch();
+                }
+            }
+            prop_assert!(bulk == each, "step {i}: {op:?}: contents or counters differ");
+            prop_assert_eq!((bulk.reads, bulk.writes), (each.reads, each.writes), "step {i}: {op:?}");
+            prop_assert_eq!(bulk.resident_pages(), each.resident_pages(), "step {i}: {op:?}");
+            prop_assert_eq!(
+                bulk.code_gen() != gens.0,
+                each.code_gen() != gens.1,
+                "step {i}: {op:?}: code generation"
+            );
+        }
+    }
 }

@@ -43,6 +43,8 @@
 //! the verifier's confirmation tag for `op 4`) in, `49..57` traffic tag
 //! out.
 
+use std::sync::OnceLock;
+
 use komodo_armv7::asm::Label;
 use komodo_armv7::insn::Cond;
 use komodo_armv7::regs::Reg;
@@ -155,8 +157,15 @@ fn call_hmac16(a: &mut Assembler, hmac: Label, key_va: u32, out_va: u32) {
     a.bl_to(Cond::Al, hmac);
 }
 
-/// Builds the remote-attestation enclave image.
-pub fn ra_image() -> Image {
+/// The remote-attestation enclave image, assembled on first use and
+/// shared for the rest of the process (the node loads it on every
+/// `HandshakeBegin`).
+pub fn ra_image() -> &'static Image {
+    static IMAGE: OnceLock<Image> = OnceLock::new();
+    IMAGE.get_or_init(assemble_ra_image)
+}
+
+fn assemble_ra_image() -> Image {
     let mut a = Assembler::new(CODE_VA);
     let over = a.b_fixup(Cond::Al);
     let sha = emit_sha256(&mut a, K_VA);

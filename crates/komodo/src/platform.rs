@@ -399,6 +399,42 @@ mod tests {
         assert_eq!(p.monitor.attest_key().to_vec(), k1);
     }
 
+    /// The simulated cost of building the two stock service enclaves on a
+    /// fresh platform: cycles, word reads and word writes after boot and
+    /// one `load`. The monitor copies, zeroes and measures whole pages as
+    /// batched word ranges, and these values pin the per-word schedule
+    /// those ranges charge. The second load of each image measures its
+    /// pages through the page memo's hits and must end in the same
+    /// machine.
+    #[test]
+    fn stock_image_loads_keep_their_counters() {
+        use komodo_guest::{notary::notary_image, ra::ra_image};
+        for (name, img, want) in [
+            (
+                "notary_image(1)",
+                &notary_image(1),
+                (532_596, 3_241, 12_428),
+            ),
+            ("ra_image()", ra_image(), (530_011, 3_224, 11_394)),
+        ] {
+            let loaded: Vec<Platform> = (0..2)
+                .map(|_| {
+                    let mut p = Platform::new();
+                    p.load(img).unwrap();
+                    p
+                })
+                .collect();
+            for p in &loaded {
+                let m = &p.machine;
+                assert_eq!((m.cycles, m.mem.reads, m.mem.writes), want, "{name}");
+            }
+            assert!(
+                loaded[0].machine == loaded[1].machine,
+                "{name}: a repeated load must end in the same machine"
+            );
+        }
+    }
+
     #[test]
     fn shared_io_splits_across_page_boundaries() {
         // Widen echo's shared segment to two pages so offsets ≥ 1024

@@ -37,6 +37,7 @@ pub mod boot;
 pub mod costs;
 pub mod layout;
 pub mod monitor;
+mod page_memo;
 pub mod pgdb;
 
 pub use boot::{boot, reboot};

@@ -12,7 +12,7 @@ use komodo_armv7::mode::Mode;
 use komodo_armv7::psr::Psr;
 use komodo_armv7::ptw::{self, PagePerms};
 use komodo_armv7::regs::{Bank, Reg};
-use komodo_armv7::word::PAGE_SIZE;
+use komodo_armv7::word::{PAGE_SIZE, WORDS_PER_PAGE};
 use komodo_armv7::{ExitReason, Machine};
 use komodo_crypto::sha256::{Sha256, BLOCK_WORDS, H0};
 use komodo_crypto::{Digest, HashDrbg};
@@ -22,6 +22,7 @@ use komodo_trace::Event;
 
 use crate::costs;
 use crate::layout::MonitorLayout;
+use crate::page_memo;
 use crate::pgdb::{self, asp_off, astate, ptype, th_off};
 
 /// Result of a secure monitor call, as returned to the OS in `R0`/`R1`.
@@ -234,25 +235,27 @@ impl Monitor {
     }
 
     /// Extends the running measurement of `asp` with block-aligned words.
+    /// A whole page is absorbed through the page memo ([`page_memo`]),
+    /// which only saves host time: the charge and the state written are
+    /// the same.
     fn extend_measurement(&self, m: &mut Machine, asp: u32, words: &[u32]) {
         debug_assert_eq!(words.len() % BLOCK_WORDS, 0);
-        let l = self.layout.clone();
+        let l = &self.layout;
         let mut h = [0u32; 8];
-        for (i, hw) in h.iter_mut().enumerate() {
-            *hw = pgdb::read_word(m, &l, asp as usize, asp_off::MEAS_H + i as u32)
-                .expect("monitor addrspace access");
+        pgdb::read_words(m, l, asp as usize, asp_off::MEAS_H, &mut h)
+            .expect("monitor addrspace access");
+        match <&[u32; WORDS_PER_PAGE]>::try_from(words) {
+            Ok(page) => page_memo::compress_page(&mut h, page),
+            Err(_) => Sha256::compress_words(&mut h, words),
         }
-        Sha256::compress_words(&mut h, words);
         m.charge(costs::SHA_BLOCK * (words.len() / BLOCK_WORDS) as u64);
-        for (i, hw) in h.iter().enumerate() {
-            pgdb::write_word(m, &l, asp as usize, asp_off::MEAS_H + i as u32, *hw)
-                .expect("monitor addrspace access");
-        }
-        let nb = pgdb::read_word(m, &l, asp as usize, asp_off::MEAS_NBLOCKS)
+        pgdb::write_words(m, l, asp as usize, asp_off::MEAS_H, &h)
+            .expect("monitor addrspace access");
+        let nb = pgdb::read_word(m, l, asp as usize, asp_off::MEAS_NBLOCKS)
             .expect("monitor addrspace access");
         pgdb::write_word(
             m,
-            &l,
+            l,
             asp as usize,
             asp_off::MEAS_NBLOCKS,
             nb + (words.len() / BLOCK_WORDS) as u32,
@@ -312,9 +315,7 @@ impl Monitor {
         pgdb::write_word(m, &l, asp as usize, asp_off::L1PT, l1pt).expect("pool");
         pgdb::write_word(m, &l, asp as usize, asp_off::REFCOUNT, 1).expect("pool");
         pgdb::write_word(m, &l, asp as usize, asp_off::STATE, astate::INIT).expect("pool");
-        for (i, hw) in H0.iter().enumerate() {
-            pgdb::write_word(m, &l, asp as usize, asp_off::MEAS_H + i as u32, *hw).expect("pool");
-        }
+        pgdb::write_words(m, &l, asp as usize, asp_off::MEAS_H, &H0).expect("pool");
         pgdb::set_meta(m, &l, asp as usize, ptype::ADDRSPACE, 0).expect("meta");
         pgdb::set_meta(m, &l, l1pt as usize, ptype::L1PT, asp).expect("meta");
         m.trace
@@ -438,17 +439,11 @@ impl Monitor {
             return KomErr::AddrInUse;
         }
         // Copy and measure the initial contents.
-        let src = content_pfn << 12;
-        let mut contents = vec![0u32; 1024];
-        for (i, c) in contents.iter_mut().enumerate() {
-            *c = m
-                .mon_read(src + (i as u32) * 4)
-                .expect("validated insecure page");
-        }
+        let mut contents = [0u32; WORDS_PER_PAGE];
+        m.mon_read_words(content_pfn << 12, &mut contents)
+            .expect("validated insecure page");
         let l = self.layout.clone();
-        for (i, c) in contents.iter().enumerate() {
-            pgdb::write_word(m, &l, data as usize, i as u32, *c).expect("pool");
-        }
+        pgdb::write_words(m, &l, data as usize, 0, &contents).expect("pool");
         m.charge(costs::DCACHE_PAGE);
         pgdb::set_meta(m, &l, data as usize, ptype::DATA, asp).expect("meta");
         let perms = PagePerms {
@@ -512,16 +507,11 @@ impl Monitor {
         }
         let l = self.layout.clone();
         let mut h = [0u32; 8];
-        for (i, hw) in h.iter_mut().enumerate() {
-            *hw = pgdb::read_word(m, &l, asp as usize, asp_off::MEAS_H + i as u32).expect("pool");
-        }
+        pgdb::read_words(m, &l, asp as usize, asp_off::MEAS_H, &mut h).expect("pool");
         let nb = pgdb::read_word(m, &l, asp as usize, asp_off::MEAS_NBLOCKS).expect("pool");
         let digest = Sha256::finish_blocks(h, nb as u64);
         m.charge(costs::SHA_BLOCK);
-        for (i, w) in digest.0.iter().enumerate() {
-            pgdb::write_word(m, &l, asp as usize, asp_off::MEAS_DIGEST + i as u32, *w)
-                .expect("pool");
-        }
+        pgdb::write_words(m, &l, asp as usize, asp_off::MEAS_DIGEST, &digest.0).expect("pool");
         pgdb::write_word(m, &l, asp as usize, asp_off::MEAS_DONE, 1).expect("pool");
         pgdb::write_word(m, &l, asp as usize, asp_off::STATE, astate::FINAL).expect("pool");
         KomErr::Ok
@@ -832,15 +822,8 @@ impl Monitor {
 
     fn read_measurement_digest(&self, m: &mut Machine, asp: u32) -> Digest {
         let mut d = [0u32; 8];
-        for (i, w) in d.iter_mut().enumerate() {
-            *w = pgdb::read_word(
-                m,
-                &self.layout,
-                asp as usize,
-                asp_off::MEAS_DIGEST + i as u32,
-            )
+        pgdb::read_words(m, &self.layout, asp as usize, asp_off::MEAS_DIGEST, &mut d)
             .expect("pool");
-        }
         Digest(d)
     }
 

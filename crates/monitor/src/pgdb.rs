@@ -13,7 +13,7 @@
 //! - **Data pages**: the enclave's private contents.
 
 use komodo_armv7::error::MemFault;
-use komodo_armv7::word::Addr;
+use komodo_armv7::word::{Addr, WORDS_PER_PAGE};
 use komodo_armv7::Machine;
 
 use crate::layout::MonitorLayout;
@@ -164,13 +164,36 @@ pub fn write_word(
     m.mon_write(word_pa(l, pg, idx), val)
 }
 
+/// Reads `out.len()` consecutive words of pool page `pg` from word `idx`,
+/// charged as that many [`read_word`]s.
+pub fn read_words(
+    m: &mut Machine,
+    l: &MonitorLayout,
+    pg: usize,
+    idx: u32,
+    out: &mut [u32],
+) -> Result<(), MemFault> {
+    debug_assert!(idx as usize + out.len() <= WORDS_PER_PAGE);
+    m.mon_read_words(word_pa(l, pg, idx), out)
+}
+
+/// Writes `words` to consecutive words of pool page `pg` from word `idx`,
+/// charged as that many [`write_word`]s.
+pub fn write_words(
+    m: &mut Machine,
+    l: &MonitorLayout,
+    pg: usize,
+    idx: u32,
+    words: &[u32],
+) -> Result<(), MemFault> {
+    debug_assert!(idx as usize + words.len() <= WORDS_PER_PAGE);
+    m.mon_write_words(word_pa(l, pg, idx), words)
+}
+
 /// Zeroes an entire pool page (used when recycling pages into page tables
-/// or fresh data pages).
+/// or fresh data pages), charged as one [`write_word`] per word.
 pub fn zero_page(m: &mut Machine, l: &MonitorLayout, pg: usize) -> Result<(), MemFault> {
-    for i in 0..1024 {
-        write_word(m, l, pg, i, 0)?;
-    }
-    Ok(())
+    write_words(m, l, pg, 0, &[0; WORDS_PER_PAGE])
 }
 
 #[cfg(test)]
@@ -206,7 +229,14 @@ mod tests {
         let (mut m, l) = setup();
         write_word(&mut m, &l, 1, 0, 7).unwrap();
         write_word(&mut m, &l, 1, 1023, 9).unwrap();
+        let (c0, w0) = (m.cycles, m.mem.writes);
         zero_page(&mut m, &l, 1).unwrap();
+        let cost = komodo_armv7::machine::cost::MEM;
+        assert_eq!(
+            (m.cycles - c0, m.mem.writes - w0),
+            (1024 * cost, 1024),
+            "charged as 1024 word writes"
+        );
         assert_eq!(read_word(&mut m, &l, 1, 0).unwrap(), 0);
         assert_eq!(read_word(&mut m, &l, 1, 1023).unwrap(), 0);
     }

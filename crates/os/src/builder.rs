@@ -168,7 +168,7 @@ impl EnclaveBuilder {
                 let va = s.va + (pg as u32) * PAGE_SIZE;
                 let lo = pg * WORDS_PER_PAGE;
                 let hi = ((pg + 1) * WORDS_PER_PAGE).min(s.words.len());
-                let mut page = vec![0u32; WORDS_PER_PAGE];
+                let mut page = [0u32; WORDS_PER_PAGE];
                 if lo < s.words.len() {
                     page[..hi - lo].copy_from_slice(&s.words[lo..hi]);
                 }

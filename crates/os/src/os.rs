@@ -62,11 +62,9 @@ impl Os {
     /// Writes words into an insecure page (normal-world access).
     pub fn write_insecure(&self, m: &mut Machine, pfn: u32, offset_words: usize, words: &[u32]) {
         let base = pfn * PAGE_SIZE + (offset_words as u32) * 4;
-        for (i, w) in words.iter().enumerate() {
-            m.mem
-                .write(base + (i as u32) * 4, *w, AccessAttrs::NORMAL)
-                .expect("insecure RAM is writable by the OS");
-        }
+        m.mem
+            .write_words(base, words, AccessAttrs::NORMAL)
+            .expect("insecure RAM is writable by the OS");
     }
 
     /// Reads words from an insecure page.
@@ -78,13 +76,11 @@ impl Os {
         n: usize,
     ) -> Vec<u32> {
         let base = pfn * PAGE_SIZE + (offset_words as u32) * 4;
-        (0..n)
-            .map(|i| {
-                m.mem
-                    .read(base + (i as u32) * 4, AccessAttrs::NORMAL)
-                    .expect("insecure RAM is readable by the OS")
-            })
-            .collect()
+        let mut out = vec![0; n];
+        m.mem
+            .read_words(base, &mut out, AccessAttrs::NORMAL)
+            .expect("insecure RAM is readable by the OS");
+        out
     }
 
     // --- Kernel-driver SMC wrappers (Table 1) ------------------------------

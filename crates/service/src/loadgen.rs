@@ -307,7 +307,7 @@ impl AttestedClient {
     pub fn new(platform_seed: u64) -> AttestedClient {
         AttestedClient {
             platform_seed,
-            measurement: komodo::measure_image(&komodo_guest::ra::ra_image(), 1),
+            measurement: komodo::measure_image(komodo_guest::ra::ra_image(), 1),
         }
     }
 }

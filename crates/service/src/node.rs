@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use komodo::{Enclave, Platform, PlatformConfig};
@@ -610,15 +610,23 @@ fn pad_report(report: &[u32; 8]) -> Vec<u32> {
 }
 
 /// Loads the notary over `doc` and runs one signing pass, returning
-/// (counter, MAC).
+/// (counter, MAC). The one-page image every `Attest` loads is assembled
+/// once per process; other document sizes assemble their own.
 fn run_notary(
     p: &mut Platform,
     doc_pages: usize,
     doc: &[u32],
 ) -> Result<(u32, [u32; 8]), ServiceError> {
-    let img = notary_image(doc_pages);
+    static ONE_PAGE: OnceLock<Image> = OnceLock::new();
+    let sized;
+    let img = if doc_pages == 1 {
+        ONE_PAGE.get_or_init(|| notary_image(1))
+    } else {
+        sized = notary_image(doc_pages);
+        &sized
+    };
     let e = p
-        .load(&img)
+        .load(img)
         .map_err(|k| ServiceError::Enclave(format!("notary load: {k:?}")))?;
     // Document segment is index 3, output segment index 4 (see
     // `notary_image`).
@@ -678,7 +686,7 @@ fn open_session(
     ctx: &mut ShardCtx<'_>,
     shared: &Shared,
     frame: Frame,
-    image: Image,
+    image: &Image,
     start: impl FnOnce(&mut Platform, &Enclave, u64) -> Result<(SessionState, Response), ServiceError>,
 ) -> Handled {
     let seed = protocol::session_seed(&shared.platform_cfg, ctx.job_index());
@@ -691,7 +699,7 @@ fn open_session(
     let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
     let opened = frame.run(&mut platform, |p| {
         let enclave = p
-            .load(&image)
+            .load(image)
             .map_err(|k| ServiceError::Enclave(format!("session load: {k:?}")))?;
         let (state, reply) = start(p, &enclave, id)?;
         Ok((enclave, state, reply))

@@ -32,6 +32,8 @@
 //! so the session→seed mapping (and with it every in-enclave keypair,
 //! DH secret and derived session key) is shard-count-invariant.
 
+use std::sync::OnceLock;
+
 use komodo::{Enclave, Platform, PlatformConfig};
 use komodo_guest::ra::{ra_image, shared_layout as sl, unpack_u64};
 use komodo_guest::{progs, Image};
@@ -131,8 +133,9 @@ pub trait Protocol {
     /// Protocol name (errors, traces).
     fn name() -> &'static str;
 
-    /// The enclave image a new session of this protocol loads.
-    fn image() -> Image;
+    /// The enclave image a new session of this protocol loads,
+    /// assembled once per process.
+    fn image() -> &'static Image;
 
     /// Initial state for a session opened by request `open_req`.
     fn open(open_req: u64) -> Self::State;
@@ -184,8 +187,9 @@ impl Protocol for SecretKeeper {
         "secret-keeper"
     }
 
-    fn image() -> Image {
-        progs::secret_keeper()
+    fn image() -> &'static Image {
+        static IMAGE: OnceLock<Image> = OnceLock::new();
+        IMAGE.get_or_init(progs::secret_keeper)
     }
 
     fn open(_open_req: u64) -> Self::State {}
@@ -354,7 +358,7 @@ impl Protocol for Attested {
         "attested"
     }
 
-    fn image() -> Image {
+    fn image() -> &'static Image {
         ra_image()
     }
 

@@ -15,7 +15,7 @@ use komodo_spec::svc::attest_mac;
 fn main() {
     let mut p = Platform::with_config(PlatformConfig::default());
     let img = ra_image();
-    let ra = p.load(&img).expect("RA enclave builds");
+    let ra = p.load(img).expect("RA enclave builds");
     println!("remote-attestation enclave loaded");
 
     // Phase 1: the enclave generates its keypair *inside* — GetRandom for
@@ -33,7 +33,7 @@ fn main() {
 
     // A local verifier checks the binding: MAC over [pub] under the
     // platform key, tied to the RA enclave's *predicted* measurement.
-    let measurement = measure_image(&img, 1);
+    let measurement = measure_image(img, 1);
     let mut bound = [0u32; 8];
     bound[0] = out[0];
     bound[1] = out[1];

@@ -67,7 +67,7 @@ fn begin_raw(
 fn session_platform_holds_only_written_pages() {
     let mut p = Platform::with_config(ServiceConfig::default().platform);
     assert_eq!(p.machine.mem.resident_pages(), 0, "after boot");
-    let e = p.load(&Attested::image()).unwrap();
+    let e = p.load(Attested::image()).unwrap();
     let vs = VerifierSession::new([0x5e55_1011; 4], 0xabcd, 0x1234);
     Attested::begin(&mut p, &e, 1, &[0x5e55_1011; 4], vs.share).unwrap();
     let resident = p.machine.mem.resident_pages();
@@ -94,7 +94,7 @@ fn establish(p: &mut Platform, e: &Enclave, nonce: [u32; 4]) -> AttestedState {
     let seed = ServiceConfig::default().platform.seed;
     let est = Verifier::new(
         &device_attest_key(seed),
-        measure_image(&Attested::image(), 1),
+        measure_image(Attested::image(), 1),
     )
     .check_quote(&vs, &to_quote(&quote))
     .expect("genuine quote must verify");
@@ -123,7 +123,7 @@ fn send(p: &mut Platform, e: &Enclave, state: &mut AttestedState, round: u32) {
 #[test]
 fn resident_session_sends_reuse_compiled_code() {
     let mut p = Platform::with_config(ServiceConfig::default().platform);
-    let e = p.load(&Attested::image()).unwrap();
+    let e = p.load(Attested::image()).unwrap();
     let mut state = establish(&mut p, &e, [0xc0de_0001; 4]);
     send(&mut p, &e, &mut state, 0);
     let after_first = p.machine.accel.cached_blocks();
@@ -152,7 +152,7 @@ fn alternating_enclaves_hold_one_working_set() {
     let cfg = ServiceConfig::default().platform;
     let working_set = |nonce: [u32; 4]| {
         let mut p = Platform::with_config(cfg.clone());
-        let e = p.load(&Attested::image()).unwrap();
+        let e = p.load(Attested::image()).unwrap();
         let mut state = establish(&mut p, &e, nonce);
         send(&mut p, &e, &mut state, 0);
         p.machine.accel.cached_blocks()
@@ -160,8 +160,8 @@ fn alternating_enclaves_hold_one_working_set() {
     let (na, nb) = ([0xa11c_e000; 4], [0x0b0b_0000; 4]);
     let bound = working_set(na).max(working_set(nb));
     let mut p = Platform::with_config(cfg);
-    let a = p.load(&Attested::image()).unwrap();
-    let b = p.load(&Attested::image()).unwrap();
+    let a = p.load(Attested::image()).unwrap();
+    let b = p.load(Attested::image()).unwrap();
     let mut sa = establish(&mut p, &a, na);
     let mut sb = establish(&mut p, &b, nb);
     for round in 0..20 {
@@ -373,9 +373,9 @@ fn chaos_perturbed_handshake_is_never_accepted() {
             .with_seed(0xc4a0_57e5),
     );
     let img = ra_image();
-    let e = p.load(&img).unwrap();
+    let e = p.load(img).unwrap();
     assert_eq!(p.run(&e, 0, [0, 0, 0]), EnclaveRun::Exited(0));
-    let verifier = Verifier::new(p.monitor.attest_key(), komodo::measure_image(&img, 1));
+    let verifier = Verifier::new(p.monitor.attest_key(), komodo::measure_image(img, 1));
 
     let run_quote = |p: &mut komodo::Platform| -> Quote {
         assert_eq!(p.run(&e, 0, [2, 0, 0]), EnclaveRun::Exited(0));

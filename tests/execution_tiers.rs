@@ -58,11 +58,11 @@ fn run(accel: bool) -> (Transcript, Platform) {
     let mut cycles = Vec::new();
 
     // Handshake: the enclave generates its key, runs DH and quotes.
-    let e = p.load(&Attested::image()).unwrap();
+    let e = p.load(Attested::image()).unwrap();
     let vs = VerifierSession::new(NONCE, 0x1357, 0x2468);
     let quote = Attested::begin(&mut p, &e, 1, &NONCE, vs.share).unwrap();
     cycles.push(p.cycles());
-    let est = Verifier::new(&device_attest_key(SEED), measure_image(&ra_image(), 1))
+    let est = Verifier::new(&device_attest_key(SEED), measure_image(ra_image(), 1))
         .check_quote(&vs, &to_quote(&quote))
         .expect("genuine quote must verify");
 

@@ -428,3 +428,63 @@ fn measurement_refines() {
         concrete_digest
     );
 }
+
+/// Measurement refinement across repeated construction on one thread.
+/// The monitor absorbs whole pages through a memo keyed by the running
+/// hash and the page's words, and every construction here reaches
+/// `MapSecure` with the same running hash. After the memo has seen the
+/// base page, pages that differ from it in the first, a middle or the
+/// last word must still measure as the specification does.
+#[test]
+fn repeated_construction_with_one_word_changed_refines() {
+    use komodo_monitor::{boot as mboot, MonitorLayout as ML};
+
+    let base: Vec<u32> = (0..1024u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+    let mut variants = vec![base.clone()];
+    for at in [0, 512, 1023] {
+        let mut v = base.clone();
+        v[at] ^= 1;
+        variants.push(v);
+        variants.push(base.clone());
+    }
+    let m = Mapping {
+        vpn: 8,
+        r: true,
+        w: false,
+        x: true,
+    };
+    let contents_pfn = 2u32;
+    for (i, contents) in variants.iter().enumerate() {
+        let (mut machine, mut monitor) = mboot(ML::new(1 << 20, 16), 9);
+        let params = monitor.params.clone();
+        machine
+            .mem
+            .write_words(
+                contents_pfn * 4096,
+                contents,
+                komodo_armv7::mem::AccessAttrs::NORMAL,
+            )
+            .unwrap();
+        for (call, args) in [
+            (SmcCall::InitAddrspace, [0u32, 1, 0, 0]),
+            (SmcCall::InitL2PTable, [0, 2, 0, 0]),
+            (SmcCall::MapSecure, [0, 3, m.pack(), contents_pfn]),
+            (SmcCall::Finalise, [0, 0, 0, 0]),
+        ] {
+            let r = monitor.smc(&mut machine, call as u32, args);
+            assert_eq!(r.err, KomErr::Ok, "{call:?}");
+        }
+        let concrete = abstract_pagedb(&mut machine, &monitor.layout);
+        let page: [u32; 1024] = contents.as_slice().try_into().unwrap();
+        let d = PageDb::new(params.npages);
+        let (d, _) = komodo_spec::smc::init_addrspace(d, &params, 0, 1);
+        let (d, _) = komodo_spec::smc::init_l2ptable(d, &params, 0, 2, 0);
+        let (d, _) = komodo_spec::smc::map_secure(d, &params, 0, 3, m, contents_pfn, &page);
+        let (d, _) = komodo_spec::smc::finalise(d, &params, 0);
+        assert_eq!(
+            d.measurement_of(0).unwrap().digest().unwrap(),
+            concrete.measurement_of(0).unwrap().digest().unwrap(),
+            "construction {i}"
+        );
+    }
+}

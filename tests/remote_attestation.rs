@@ -27,14 +27,14 @@ fn setup() -> (Platform, komodo::Enclave, u64) {
             .with_seed(0xa77e57),
     );
     let img = ra_image();
-    let e = p.load(&img).unwrap();
+    let e = p.load(img).unwrap();
     // 1. Init: keypair generated in-enclave.
     assert_eq!(p.run(&e, 0, [0, 0, 0]), EnclaveRun::Exited(0));
     let out = p.read_shared(&e, 3, 8, 10); // pub(2) + mac(8).
     let public = unpack_u64(out[0], out[1]);
     let mac: Vec<u32> = out[2..10].to_vec();
     // 2. Local verification of the key binding.
-    let measurement = measure_image(&img, 1);
+    let measurement = measure_image(img, 1);
     let mut bound = [0u32; 8];
     bound[0] = out[0];
     bound[1] = out[1];
@@ -151,7 +151,7 @@ fn run_handshake(p: &mut Platform, e: &komodo::Enclave, vs: &VerifierSession) ->
 #[test]
 fn handshake_establishes_matching_session_keys() {
     let (mut p, e, public) = setup();
-    let verifier = Verifier::new(p.monitor.attest_key(), measure_image(&ra_image(), 1));
+    let verifier = Verifier::new(p.monitor.attest_key(), measure_image(ra_image(), 1));
     let vs = VerifierSession::new([0xaaa1, 0xaaa2, 0xaaa3, 0xaaa4], 0x1234_5678, 0x9abc_def0);
     let quote = run_handshake(&mut p, &e, &vs);
     assert_eq!(quote.public, public);
@@ -190,7 +190,7 @@ fn handshake_establishes_matching_session_keys() {
 #[test]
 fn handshake_rejects_replay_and_forgery() {
     let (mut p, e, _) = setup();
-    let verifier = Verifier::new(p.monitor.attest_key(), measure_image(&ra_image(), 1));
+    let verifier = Verifier::new(p.monitor.attest_key(), measure_image(ra_image(), 1));
     let vs = VerifierSession::new([1, 2, 3, 4], 0xfeed, 0xbeef);
     let quote = run_handshake(&mut p, &e, &vs);
     assert!(verifier.check_quote(&vs, &quote).is_ok());
